@@ -1,11 +1,13 @@
 //! Router hot-path benchmarks at the `codar-router` level: scratch
-//! reuse vs fresh allocation, the cached CF front, and the incremental
-//! SWAP scorer. Run with `cargo bench -p codar-router`.
+//! reuse vs fresh allocation, the cached CF front, the incremental
+//! SWAP scorer, and route verification. Run with
+//! `cargo bench -p codar-router`.
 
 use codar_arch::Device;
-use codar_benchmarks::generators;
+use codar_benchmarks::{full_suite, generators};
 use codar_router::front::{CommutativeFront, DEFAULT_WINDOW};
 use codar_router::heuristic::{priority, SwapScorer};
+use codar_router::verify::{check_coupling, check_equivalence};
 use codar_router::{CodarRouter, Mapping, RouterScratch, SabreRouter};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -119,9 +121,35 @@ fn bench_swap_scoring(c: &mut Criterion) {
     });
 }
 
+/// Verification of one large routed suite circuit: `counter_14`
+/// (2184 gates) routed by CODAR on Q20, the check every engine job and
+/// daemon miss runs before replying.
+fn bench_verify(c: &mut Criterion) {
+    let device = Device::ibm_q20_tokyo();
+    let entry = full_suite()
+        .into_iter()
+        .find(|e| e.name == "counter_14")
+        .expect("counter_14 is a suite entry");
+    let routed = CodarRouter::new(&device)
+        .route(&entry.circuit)
+        .expect("counter_14 fits Q20");
+    let mut group = c.benchmark_group("verify");
+    group.bench_with_input(
+        BenchmarkId::new("equivalence", &entry.name),
+        &routed,
+        |b, routed| b.iter(|| black_box(check_equivalence(&entry.circuit, routed).is_ok())),
+    );
+    group.bench_with_input(
+        BenchmarkId::new("coupling", &entry.name),
+        &routed,
+        |b, routed| b.iter(|| black_box(check_coupling(&routed.circuit, &device).is_ok())),
+    );
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_scratch_reuse, bench_cf_cache, bench_swap_scoring
+    targets = bench_scratch_reuse, bench_cf_cache, bench_swap_scoring, bench_verify
 }
 criterion_main!(benches);
