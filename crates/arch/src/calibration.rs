@@ -642,13 +642,14 @@ mod mini_json {
             }
         }
 
-        /// Exact non-negative integer (rejects fractions and values
-        /// beyond 2^53, which `f64` cannot represent exactly).
+        /// Exact non-negative integer below 2^53, the bound the
+        /// service protocol parser uses: 2^53 itself is also what
+        /// 2^53 + 1 parses to, so accepting it would load a value the
+        /// document never held.
         pub fn as_u64(&self) -> Option<u64> {
+            const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
             match self {
-                Value::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= 9_007_199_254_740_992.0 => {
-                    Some(*v as u64)
-                }
+                Value::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < EXACT => Some(*v as u64),
                 _ => None,
             }
         }
@@ -932,6 +933,33 @@ mod tests {
         assert!(CalibrationSnapshot::from_json(&deep)
             .unwrap_err()
             .contains("nesting"));
+    }
+
+    /// `version` 2^53 + 1 parses to the f64 2^53; both must be
+    /// rejected rather than loaded as a version the client never sent.
+    #[test]
+    fn from_json_rejects_versions_f64_cannot_hold_exactly() {
+        let snap = CalibrationSnapshot::synthetic(&device(), 3);
+        let json = snap.to_json();
+        let line = format!("\"version\": {}", snap.version);
+        assert!(json.contains(&line), "{json}");
+        for (version, ok) in [
+            ("9007199254740991", true),
+            ("9007199254740992", false),
+            ("9007199254740993", false),
+        ] {
+            let text = json.replace(&line, &format!("\"version\": {version}"));
+            match CalibrationSnapshot::from_json(&text) {
+                Ok(back) => {
+                    assert!(ok, "{version} loaded as {}", back.version);
+                    assert_eq!(back.version.to_string(), version);
+                }
+                Err(err) => {
+                    assert!(!ok, "{version}: {err}");
+                    assert!(err.contains("`version`"), "{version}: {err}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use codar_arch::Device;
 use codar_bench::ablation_configs;
 use codar_benchmarks::generators;
-use codar_router::{CodarRouter, Mapping};
+use codar_router::{CodarRouter, Mapping, RouterScratch};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -23,7 +23,7 @@ fn bench_ablations(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         router
-                            .route_with_mapping(&circuit, initial.clone())
+                            .route(&circuit, Some(&initial), &mut RouterScratch::new())
                             .expect("fits"),
                     )
                 });

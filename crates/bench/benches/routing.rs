@@ -3,7 +3,7 @@
 
 use codar_arch::Device;
 use codar_benchmarks::generators;
-use codar_router::{CodarRouter, Mapping, SabreRouter};
+use codar_router::{CodarRouter, Mapping, RouterScratch, SabreRouter};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -18,7 +18,7 @@ fn bench_routers(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     router
-                        .route_with_mapping(circuit, initial.clone())
+                        .route(circuit, Some(&initial), &mut RouterScratch::new())
                         .expect("qft fits"),
                 )
             });
@@ -28,7 +28,7 @@ fn bench_routers(c: &mut Criterion) {
             b.iter(|| {
                 black_box(
                     router
-                        .route_with_mapping(circuit, initial.clone())
+                        .route(circuit, Some(&initial), &mut RouterScratch::new())
                         .expect("qft fits"),
                 )
             });
@@ -45,7 +45,7 @@ fn bench_routers(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         router
-                            .route_with_mapping(circuit, initial.clone())
+                            .route(circuit, Some(&initial), &mut RouterScratch::new())
                             .expect("fits"),
                     )
                 });
@@ -59,7 +59,7 @@ fn bench_routers(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         router
-                            .route_with_mapping(circuit, initial.clone())
+                            .route(circuit, Some(&initial), &mut RouterScratch::new())
                             .expect("fits"),
                     )
                 });
@@ -78,7 +78,7 @@ fn bench_large_device(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 router
-                    .route_with_mapping(&circuit, initial.clone())
+                    .route(&circuit, Some(&initial), &mut RouterScratch::new())
                     .expect("fits"),
             )
         });

@@ -38,7 +38,9 @@ use codar_arch::Device;
 use codar_benchmarks::suite::SuiteEntry;
 use codar_circuit::schedule::Time;
 use codar_router::sabre::reverse_traversal_mapping;
-use codar_router::{CodarConfig, CodarRouter, InitialMapping, RouteError, SabreRouter};
+use codar_router::{
+    CodarConfig, CodarRouter, InitialMapping, RouteError, RouterScratch, SabreRouter,
+};
 use codar_sim::{FidelityReport, NoiseModel};
 
 /// One benchmark's CODAR-vs-SABRE comparison on one device.
@@ -83,9 +85,10 @@ pub fn compare_on(
     entry: &SuiteEntry,
     seed: u64,
 ) -> Result<ComparisonRow, RouteError> {
-    let initial = reverse_traversal_mapping(&entry.circuit, device, seed);
-    let codar = CodarRouter::new(device).route_with_mapping(&entry.circuit, initial.clone())?;
-    let sabre = SabreRouter::new(device).route_with_mapping(&entry.circuit, initial)?;
+    let mut scratch = RouterScratch::new();
+    let initial = reverse_traversal_mapping(&entry.circuit, device, seed, &mut scratch);
+    let codar = CodarRouter::new(device).route(&entry.circuit, Some(&initial), &mut scratch)?;
+    let sabre = SabreRouter::new(device).route(&entry.circuit, Some(&initial), &mut scratch)?;
     Ok(ComparisonRow {
         name: entry.name.clone(),
         num_qubits: entry.num_qubits,
@@ -125,9 +128,10 @@ pub fn fidelity_compare(
     trajectories: usize,
     seed: u64,
 ) -> Result<FidelityRow, RouteError> {
-    let initial = reverse_traversal_mapping(&entry.circuit, device, seed);
-    let codar = CodarRouter::new(device).route_with_mapping(&entry.circuit, initial.clone())?;
-    let sabre = SabreRouter::new(device).route_with_mapping(&entry.circuit, initial)?;
+    let mut scratch = RouterScratch::new();
+    let initial = reverse_traversal_mapping(&entry.circuit, device, seed, &mut scratch);
+    let codar = CodarRouter::new(device).route(&entry.circuit, Some(&initial), &mut scratch)?;
+    let sabre = SabreRouter::new(device).route(&entry.circuit, Some(&initial), &mut scratch)?;
     let tau = device.durations().clone();
     let codar_fidelity =
         FidelityReport::estimate(&codar.circuit, |g| tau.of(g), noise, trajectories, seed);

@@ -29,7 +29,7 @@ fn bench_scratch_reuse(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         codar
-                            .route_with_scratch(circuit, initial.clone(), &mut scratch)
+                            .route(circuit, Some(&initial), &mut scratch)
                             .expect("qft fits"),
                     )
                 });
@@ -42,7 +42,7 @@ fn bench_scratch_reuse(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         codar
-                            .route_with_mapping(circuit, initial.clone())
+                            .route(circuit, Some(&initial), &mut RouterScratch::new())
                             .expect("qft fits"),
                     )
                 });
@@ -56,7 +56,7 @@ fn bench_scratch_reuse(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(
                         sabre
-                            .route_with_scratch(circuit, initial.clone(), &mut scratch)
+                            .route(circuit, Some(&initial), &mut scratch)
                             .expect("qft fits"),
                     )
                 });
@@ -131,7 +131,7 @@ fn bench_verify(c: &mut Criterion) {
         .find(|e| e.name == "counter_14")
         .expect("counter_14 is a suite entry");
     let routed = CodarRouter::new(&device)
-        .route(&entry.circuit)
+        .route(&entry.circuit, None, &mut RouterScratch::new())
         .expect("counter_14 fits Q20");
     let mut group = c.benchmark_group("verify");
     group.bench_with_input(

@@ -83,16 +83,15 @@ impl Default for CodarConfig {
 /// ```
 /// use codar_arch::Device;
 /// use codar_circuit::Circuit;
-/// use codar_router::CodarRouter;
+/// use codar_router::{CodarRouter, Mapping, RouterScratch};
 ///
 /// # fn main() -> Result<(), codar_router::RouteError> {
-/// use codar_router::Mapping;
-///
 /// let mut c = Circuit::new(3);
 /// c.cx(0, 2); // non-adjacent on a line under the identity placement
 /// let device = Device::linear(3);
-/// let routed = CodarRouter::new(&device)
-///     .route_with_mapping(&c, Mapping::identity(3, 3))?;
+/// let identity = Mapping::identity(3, 3);
+/// let routed =
+///     CodarRouter::new(&device).route(&c, Some(&identity), &mut RouterScratch::new())?;
 /// assert_eq!(routed.swaps_inserted, 1);
 /// # Ok(())
 /// # }
@@ -142,66 +141,37 @@ impl<'d> CodarRouter<'d> {
 
     /// Routes `circuit`, producing a hardware-compliant physical circuit.
     ///
+    /// With `initial = Some(mapping)` routing starts from that placement
+    /// (the experiments feed CODAR and SABRE the same one); with `None`
+    /// the router builds its configured
+    /// [`CodarConfig::initial_mapping`]. `scratch` holds the hot loop's
+    /// buffers: reuse one across calls (the engine keeps one per
+    /// worker) to stay allocation-free. Results are identical whether it
+    /// is fresh or reused.
+    ///
     /// # Errors
     ///
     /// * [`RouteError::TooManyQubits`] when the circuit needs more qubits
     ///   than the device has,
     /// * [`RouteError::UnsupportedGate`] when a unitary gate spans 3+
     ///   qubits (decompose first),
+    /// * [`RouteError::MappingShape`] when the initial mapping does not
+    ///   place exactly the circuit's qubits on the device's,
     /// * [`RouteError::Disconnected`] when a two-qubit gate's operands
     ///   sit in different components of the coupling graph.
-    pub fn route(&self, circuit: &Circuit) -> Result<RoutedCircuit, RouteError> {
-        self.route_scratch(circuit, &mut RouterScratch::new())
-    }
-
-    /// Routes `circuit` as [`CodarRouter::route`], reusing `scratch`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CodarRouter::route`].
-    pub fn route_scratch(
+    pub fn route(
         &self,
         circuit: &Circuit,
+        initial: Option<&Mapping>,
         scratch: &mut RouterScratch,
     ) -> Result<RoutedCircuit, RouteError> {
-        validate(circuit, self.device)?;
-        let pi0 = self
-            .config
-            .initial_mapping
-            .build_scratch(circuit, self.device, scratch);
-        self.route_with_scratch(circuit, pi0, scratch)
-    }
-
-    /// Routes `circuit` starting from an explicit initial mapping
-    /// (used by the experiments to feed CODAR and SABRE identical
-    /// initial placements).
-    ///
-    /// # Errors
-    ///
-    /// As for [`CodarRouter::route`].
-    pub fn route_with_mapping(
-        &self,
-        circuit: &Circuit,
-        initial: Mapping,
-    ) -> Result<RoutedCircuit, RouteError> {
-        self.route_with_scratch(circuit, initial, &mut RouterScratch::new())
-    }
-
-    /// Routes `circuit` from an explicit initial mapping, reusing the
-    /// buffers in `scratch` — the hot path for bulk routing (one
-    /// scratch per engine worker). Results are identical whether a
-    /// scratch is fresh or reused.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CodarRouter::route`].
-    pub fn route_with_scratch(
-        &self,
-        circuit: &Circuit,
-        initial: Mapping,
-        scratch: &mut RouterScratch,
-    ) -> Result<RoutedCircuit, RouteError> {
-        validate(circuit, self.device)?;
+        let initial = initial_placement(
+            circuit,
+            self.device,
+            initial,
+            &self.config.initial_mapping,
+            scratch,
+        )?;
         let device = self.device;
         let graph = device.graph();
         let dist = device.distances();
@@ -481,22 +451,47 @@ impl<'d> CodarRouter<'d> {
     }
 }
 
-/// Shared input validation for the routers.
-pub(crate) fn validate(circuit: &Circuit, device: &Device) -> Result<(), RouteError> {
+/// The start of every router's `route`: validates the inputs, then
+/// takes the caller's mapping (cloned, since the result keeps it) or
+/// builds `strategy`'s placement through `scratch`, and checks that the
+/// mapping fits the circuit and the device.
+pub(crate) fn initial_placement(
+    circuit: &Circuit,
+    device: &Device,
+    initial: Option<&Mapping>,
+    strategy: &InitialMapping,
+    scratch: &mut RouterScratch,
+) -> Result<Mapping, RouteError> {
     if circuit.num_qubits() > device.num_qubits() {
         return Err(RouteError::TooManyQubits {
             logical: circuit.num_qubits(),
             physical: device.num_qubits(),
         });
     }
-    for gate in circuit.gates() {
-        if gate.kind != GateKind::Barrier && gate.qubits.len() > 2 {
-            return Err(RouteError::UnsupportedGate {
-                gate: gate.to_string(),
-            });
-        }
+    if let Some(gate) = circuit
+        .gates()
+        .iter()
+        .find(|gate| gate.kind != GateKind::Barrier && gate.qubits.len() > 2)
+    {
+        return Err(RouteError::UnsupportedGate {
+            gate: gate.to_string(),
+        });
     }
-    Ok(())
+    let mapping = match initial {
+        Some(mapping) => mapping.clone(),
+        None => strategy.build(circuit, device, scratch),
+    };
+    if mapping.num_logical() != circuit.num_qubits()
+        || mapping.num_physical() != device.num_qubits()
+    {
+        return Err(RouteError::MappingShape {
+            logical: mapping.num_logical(),
+            physical: mapping.num_physical(),
+            circuit: circuit.num_qubits(),
+            device: device.num_qubits(),
+        });
+    }
+    Ok(mapping)
 }
 
 #[cfg(test)]
@@ -511,7 +506,7 @@ mod tests {
             ..CodarConfig::default()
         };
         CodarRouter::with_config(device, config)
-            .route(circuit)
+            .route(circuit, None, &mut RouterScratch::new())
             .unwrap()
     }
 
@@ -610,8 +605,46 @@ mod tests {
     fn too_many_qubits_is_error() {
         let device = Device::linear(2);
         let c = Circuit::new(3);
-        let err = CodarRouter::new(&device).route(&c).unwrap_err();
+        let err = CodarRouter::new(&device)
+            .route(&c, None, &mut RouterScratch::new())
+            .unwrap_err();
         assert!(matches!(err, RouteError::TooManyQubits { .. }));
+    }
+
+    /// A supplied mapping must place exactly the circuit's qubits on
+    /// the device's; every router reports a mismatch as an error (too
+    /// few logical qubits used to panic, extra ones were accepted).
+    #[test]
+    fn mis_shaped_initial_mapping_is_error() {
+        use crate::{GreedyRouter, SabreRouter};
+        let device = Device::linear(4);
+        let mut c = Circuit::new(3);
+        c.cx(0, 2);
+        for bad in [
+            Mapping::identity(2, 4),
+            Mapping::identity(3, 3),
+            Mapping::identity(4, 4),
+        ] {
+            let mut scratch = RouterScratch::new();
+            for result in [
+                CodarRouter::new(&device).route(&c, Some(&bad), &mut scratch),
+                SabreRouter::new(&device).route(&c, Some(&bad), &mut scratch),
+                GreedyRouter::new(&device).route(&c, Some(&bad), &mut scratch),
+            ] {
+                let err = result.unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        RouteError::MappingShape {
+                            circuit: 3,
+                            device: 4,
+                            ..
+                        }
+                    ),
+                    "{bad:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -619,7 +652,9 @@ mod tests {
         let device = Device::linear(3);
         let mut c = Circuit::new(3);
         c.ccx(0, 1, 2);
-        let err = CodarRouter::new(&device).route(&c).unwrap_err();
+        let err = CodarRouter::new(&device)
+            .route(&c, None, &mut RouterScratch::new())
+            .unwrap_err();
         assert!(matches!(err, RouteError::UnsupportedGate { .. }));
     }
 
@@ -634,7 +669,7 @@ mod tests {
             ..CodarConfig::default()
         };
         let err = CodarRouter::with_config(&device, config)
-            .route(&c)
+            .route(&c, None, &mut RouterScratch::new())
             .unwrap_err();
         assert!(matches!(err, RouteError::Disconnected { .. }));
     }
@@ -664,7 +699,9 @@ mod tests {
             enable_duration_awareness: false,
             ..CodarConfig::default()
         };
-        let r = CodarRouter::with_config(&device, config).route(&c).unwrap();
+        let r = CodarRouter::with_config(&device, config)
+            .route(&c, None, &mut RouterScratch::new())
+            .unwrap();
         check_coupling(&r.circuit, &device).unwrap();
         check_equivalence(&c, &r).unwrap();
     }
@@ -681,7 +718,9 @@ mod tests {
             enable_commutativity: false,
             ..CodarConfig::default()
         };
-        let r = CodarRouter::with_config(&device, config).route(&c).unwrap();
+        let r = CodarRouter::with_config(&device, config)
+            .route(&c, None, &mut RouterScratch::new())
+            .unwrap();
         check_coupling(&r.circuit, &device).unwrap();
         check_equivalence(&c, &r).unwrap();
     }
@@ -710,11 +749,11 @@ mod tests {
             ..CodarConfig::default()
         };
         let plain = CodarRouter::with_config(&device, config.clone())
-            .route(&c)
+            .route(&c, None, &mut RouterScratch::new())
             .unwrap();
         let cal = CodarRouter::with_config(&device, config)
             .with_snapshot(&snapshot)
-            .route(&c)
+            .route(&c, None, &mut RouterScratch::new())
             .unwrap();
         assert_eq!(plain.circuit.gates(), cal.circuit.gates());
         assert_eq!(plain.start_times, cal.start_times);
@@ -758,7 +797,7 @@ mod tests {
         };
         let routed = CodarRouter::with_config(&device, config)
             .with_snapshot(&snapshot)
-            .route(&c)
+            .route(&c, None, &mut RouterScratch::new())
             .unwrap();
         crate::verify::check_coupling(&routed.circuit, &device).unwrap();
         crate::verify::check_equivalence(&c, &routed).unwrap();

@@ -27,6 +27,18 @@ pub enum RouteError {
         /// Second endpoint.
         b: usize,
     },
+    /// The initial mapping does not place exactly the circuit's qubits
+    /// on the device's.
+    MappingShape {
+        /// Logical qubits the mapping places.
+        logical: usize,
+        /// Physical qubits the mapping spans.
+        physical: usize,
+        /// Qubits the circuit uses.
+        circuit: usize,
+        /// Qubits the device has.
+        device: usize,
+    },
     /// A verification check failed (see `verify`).
     Verification(String),
 }
@@ -47,6 +59,16 @@ impl fmt::Display for RouteError {
             RouteError::Disconnected { a, b } => {
                 write!(f, "no coupling path between physical qubits {a} and {b}")
             }
+            RouteError::MappingShape {
+                logical,
+                physical,
+                circuit,
+                device,
+            } => write!(
+                f,
+                "initial mapping places {logical} logical on {physical} physical qubits, \
+                 but the circuit has {circuit} qubits and the device {device}"
+            ),
             RouteError::Verification(msg) => write!(f, "verification failed: {msg}"),
         }
     }

@@ -8,7 +8,7 @@
 //! calibrates how much of CODAR's/SABRE's win comes from lookahead at
 //! all (see the `sweep` ablations for CODAR's own mechanisms).
 
-use crate::codar::validate;
+use crate::codar::initial_placement;
 use crate::error::RouteError;
 use crate::mapping::{InitialMapping, Mapping};
 use crate::result::RoutedCircuit;
@@ -24,14 +24,15 @@ use codar_circuit::{Circuit, GateKind};
 /// ```
 /// use codar_arch::Device;
 /// use codar_circuit::Circuit;
-/// use codar_router::{greedy::GreedyRouter, Mapping};
+/// use codar_router::{greedy::GreedyRouter, Mapping, RouterScratch};
 ///
 /// # fn main() -> Result<(), codar_router::RouteError> {
 /// let mut c = Circuit::new(4);
 /// c.cx(0, 3);
 /// let device = Device::linear(4);
-/// let routed = GreedyRouter::new(&device)
-///     .route_with_mapping(&c, Mapping::identity(4, 4))?;
+/// let identity = Mapping::identity(4, 4);
+/// let routed =
+///     GreedyRouter::new(&device).route(&c, Some(&identity), &mut RouterScratch::new())?;
 /// assert_eq!(routed.swaps_inserted, 2); // walks q0 next to q3
 /// # Ok(())
 /// # }
@@ -58,59 +59,26 @@ impl<'d> GreedyRouter<'d> {
         self
     }
 
-    /// Routes `circuit`.
+    /// Routes `circuit`, from `initial` when given and otherwise from
+    /// the configured initial-mapping strategy (built through
+    /// `scratch`; the greedy walk itself needs no buffers).
     ///
     /// # Errors
     ///
     /// As for [`crate::CodarRouter::route`].
-    pub fn route(&self, circuit: &Circuit) -> Result<RoutedCircuit, RouteError> {
-        self.route_scratch(circuit, &mut RouterScratch::new())
-    }
-
-    /// Routes `circuit` as [`GreedyRouter::route`], reusing `scratch`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::CodarRouter::route`].
-    pub fn route_scratch(
+    pub fn route(
         &self,
         circuit: &Circuit,
+        initial: Option<&Mapping>,
         scratch: &mut RouterScratch,
     ) -> Result<RoutedCircuit, RouteError> {
-        validate(circuit, self.device)?;
-        let initial = self
-            .initial_mapping
-            .build_scratch(circuit, self.device, scratch);
-        self.route_with_scratch(circuit, initial, scratch)
-    }
-
-    /// Routes `circuit` from an explicit initial mapping.
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::CodarRouter::route`].
-    pub fn route_with_mapping(
-        &self,
-        circuit: &Circuit,
-        initial: Mapping,
-    ) -> Result<RoutedCircuit, RouteError> {
-        self.route_with_scratch(circuit, initial, &mut RouterScratch::new())
-    }
-
-    /// Routes `circuit` from an explicit initial mapping, reusing the
-    /// buffers in `scratch` (see
-    /// [`crate::CodarRouter::route_with_scratch`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::CodarRouter::route`].
-    pub fn route_with_scratch(
-        &self,
-        circuit: &Circuit,
-        initial: Mapping,
-        _scratch: &mut RouterScratch,
-    ) -> Result<RoutedCircuit, RouteError> {
-        validate(circuit, self.device)?;
+        let initial = initial_placement(
+            circuit,
+            self.device,
+            initial,
+            &self.initial_mapping,
+            scratch,
+        )?;
         let graph = self.device.graph();
         let dist = self.device.distances();
         let mut pi = initial.clone();
@@ -166,7 +134,9 @@ mod tests {
         let mut c = Circuit::new(3);
         c.cx(0, 1);
         c.cx(1, 2);
-        let r = GreedyRouter::new(&device).route(&c).expect("fits");
+        let r = GreedyRouter::new(&device)
+            .route(&c, None, &mut RouterScratch::new())
+            .expect("fits");
         assert_eq!(r.swaps_inserted, 0);
         check_coupling(&r.circuit, &device).expect("coupling");
     }
@@ -176,7 +146,9 @@ mod tests {
         let device = Device::linear(5);
         let mut c = Circuit::new(5);
         c.cx(0, 4);
-        let r = GreedyRouter::new(&device).route(&c).expect("fits");
+        let r = GreedyRouter::new(&device)
+            .route(&c, None, &mut RouterScratch::new())
+            .expect("fits");
         assert_eq!(r.swaps_inserted, 3);
         check_coupling(&r.circuit, &device).expect("coupling");
         check_equivalence(&c, &r).expect("equivalent");
@@ -192,7 +164,9 @@ mod tests {
         c.cx(4, 1);
         c.cx(1, 3);
         c.measure(3, 0);
-        let r = GreedyRouter::new(&device).route(&c).expect("fits");
+        let r = GreedyRouter::new(&device)
+            .route(&c, None, &mut RouterScratch::new())
+            .expect("fits");
         check_coupling(&r.circuit, &device).expect("coupling");
         check_equivalence(&c, &r).expect("equivalent");
     }
@@ -208,11 +182,12 @@ mod tests {
             }
         }
         let initial = Mapping::identity(10, device.num_qubits());
+        let mut scratch = RouterScratch::new();
         let greedy = GreedyRouter::new(&device)
-            .route_with_mapping(&qft, initial.clone())
+            .route(&qft, Some(&initial), &mut scratch)
             .expect("fits");
         let codar = CodarRouter::new(&device)
-            .route_with_mapping(&qft, initial)
+            .route(&qft, Some(&initial), &mut scratch)
             .expect("fits");
         assert!(
             codar.weighted_depth < greedy.weighted_depth,
@@ -229,7 +204,7 @@ mod tests {
         let mut c = Circuit::new(4);
         c.cx(0, 2);
         assert!(matches!(
-            GreedyRouter::new(&device).route(&c),
+            GreedyRouter::new(&device).route(&c, None, &mut RouterScratch::new()),
             Err(RouteError::Disconnected { .. })
         ));
     }
@@ -240,7 +215,9 @@ mod tests {
         let mut c = Circuit::new(3);
         c.barrier(vec![0, 1, 2]);
         c.h(1);
-        let r = GreedyRouter::new(&device).route(&c).expect("fits");
+        let r = GreedyRouter::new(&device)
+            .route(&c, None, &mut RouterScratch::new())
+            .expect("fits");
         assert_eq!(r.gate_count(), 2);
         assert_eq!(r.swaps_inserted, 0);
     }

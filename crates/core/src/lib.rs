@@ -36,7 +36,7 @@
 //! ```
 //! use codar_arch::Device;
 //! use codar_circuit::Circuit;
-//! use codar_router::{CodarRouter, SabreRouter};
+//! use codar_router::{CodarRouter, RouterScratch, SabreRouter};
 //!
 //! # fn main() -> Result<(), codar_router::RouteError> {
 //! let mut qft4 = Circuit::new(4);
@@ -47,8 +47,11 @@
 //!     }
 //! }
 //! let device = Device::linear(4);
-//! let codar = CodarRouter::new(&device).route(&qft4)?;
-//! let sabre = SabreRouter::new(&device).route(&qft4)?;
+//! // `None`: each router builds its own initial placement. One scratch
+//! // serves both calls.
+//! let mut scratch = RouterScratch::new();
+//! let codar = CodarRouter::new(&device).route(&qft4, None, &mut scratch)?;
+//! let sabre = SabreRouter::new(&device).route(&qft4, None, &mut scratch)?;
 //! // Both results satisfy the coupling constraints...
 //! codar_router::verify::check_coupling(&codar.circuit, &device)?;
 //! codar_router::verify::check_coupling(&sabre.circuit, &device)?;

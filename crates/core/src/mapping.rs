@@ -1,6 +1,7 @@
 //! The dynamic logical→physical mapping `π` (paper Table II) and initial
 //! mapping strategies.
 
+use crate::scratch::RouterScratch;
 use codar_arch::Device;
 use codar_circuit::{Circuit, QubitId};
 use rand::seq::SliceRandom;
@@ -147,27 +148,19 @@ impl Default for InitialMapping {
 }
 
 impl InitialMapping {
-    /// Materializes the strategy for `circuit` on `device`.
+    /// Materializes the strategy for `circuit` on `device`, reusing
+    /// `scratch` for the strategies that route (reverse traversal runs
+    /// two SABRE passes).
     ///
     /// # Panics
     ///
     /// Panics if the device is smaller than the circuit (callers check
     /// this and return [`crate::RouteError::TooManyQubits`] first).
-    pub fn build(&self, circuit: &Circuit, device: &Device) -> Mapping {
-        self.build_scratch(circuit, device, &mut crate::scratch::RouterScratch::new())
-    }
-
-    /// As [`InitialMapping::build`], reusing `scratch` for the
-    /// strategies that route (reverse traversal runs two SABRE passes).
-    ///
-    /// # Panics
-    ///
-    /// As for [`InitialMapping::build`].
-    pub fn build_scratch(
+    pub fn build(
         &self,
         circuit: &Circuit,
         device: &Device,
-        scratch: &mut crate::scratch::RouterScratch,
+        scratch: &mut RouterScratch,
     ) -> Mapping {
         let n = circuit.num_qubits();
         let big_n = device.num_qubits();
@@ -181,7 +174,7 @@ impl InitialMapping {
                 Mapping::from_assignment(phys, big_n)
             }
             InitialMapping::SabreReverseTraversal { seed } => {
-                crate::sabre::reverse_traversal_mapping_scratch(circuit, device, *seed, scratch)
+                crate::sabre::reverse_traversal_mapping(circuit, device, *seed, scratch)
             }
             InitialMapping::DenseLayout => dense_layout(circuit, device),
             InitialMapping::Fixed(assignment) => {
@@ -300,8 +293,8 @@ mod tests {
         let device = Device::grid(3, 3);
         let mut c = Circuit::new(5);
         c.cx(0, 4);
-        let a = InitialMapping::Random { seed: 7 }.build(&c, &device);
-        let b = InitialMapping::Random { seed: 7 }.build(&c, &device);
+        let a = InitialMapping::Random { seed: 7 }.build(&c, &device, &mut RouterScratch::new());
+        let b = InitialMapping::Random { seed: 7 }.build(&c, &device, &mut RouterScratch::new());
         assert_eq!(a, b);
         let mut seen = std::collections::BTreeSet::new();
         for l in 0..5 {
@@ -317,7 +310,7 @@ mod tests {
             c.cx(0, 1);
         }
         c.cx(1, 2);
-        let pi = InitialMapping::DenseLayout.build(&c, &device);
+        let pi = InitialMapping::DenseLayout.build(&c, &device, &mut RouterScratch::new());
         // The heavy pair (0,1) must land on coupled sites.
         assert!(device.graph().are_adjacent(pi.phys_of(0), pi.phys_of(1)));
         // The light pair should still be close.
@@ -331,7 +324,7 @@ mod tests {
         for i in 0..7 {
             c.cx(i, i + 1);
         }
-        let pi = InitialMapping::DenseLayout.build(&c, &device);
+        let pi = InitialMapping::DenseLayout.build(&c, &device, &mut RouterScratch::new());
         let mut seen = std::collections::BTreeSet::new();
         for l in 0..8 {
             assert!(pi.phys_of(l) < 20);
@@ -345,7 +338,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.h(0);
         c.h(1);
-        let pi = InitialMapping::DenseLayout.build(&c, &device);
+        let pi = InitialMapping::DenseLayout.build(&c, &device, &mut RouterScratch::new());
         let mut seen = std::collections::BTreeSet::new();
         for l in 0..3 {
             assert!(seen.insert(pi.phys_of(l)));
@@ -356,7 +349,7 @@ mod tests {
     fn fixed_mapping() {
         let device = Device::linear(4);
         let c = Circuit::new(2);
-        let pi = InitialMapping::Fixed(vec![3, 1]).build(&c, &device);
+        let pi = InitialMapping::Fixed(vec![3, 1]).build(&c, &device, &mut RouterScratch::new());
         assert_eq!(pi.phys_of(0), 3);
         assert_eq!(pi.phys_of(1), 1);
     }

@@ -18,9 +18,9 @@
 //! initial mapping; the paper (and this reproduction) feeds the same
 //! initial mapping to both SABRE and CODAR for a fair comparison.
 
-use crate::codar::validate;
+use crate::codar::initial_placement;
 use crate::error::RouteError;
-use crate::mapping::Mapping;
+use crate::mapping::{InitialMapping, Mapping};
 use crate::result::RoutedCircuit;
 use crate::scratch::RouterScratch;
 use codar_arch::Device;
@@ -62,16 +62,15 @@ impl Default for SabreConfig {
 /// ```
 /// use codar_arch::Device;
 /// use codar_circuit::Circuit;
-/// use codar_router::SabreRouter;
+/// use codar_router::{Mapping, RouterScratch, SabreRouter};
 ///
 /// # fn main() -> Result<(), codar_router::RouteError> {
-/// use codar_router::Mapping;
-///
 /// let mut c = Circuit::new(3);
 /// c.cx(0, 2);
 /// let device = Device::linear(3);
-/// let routed = SabreRouter::new(&device)
-///     .route_with_mapping(&c, Mapping::identity(3, 3))?;
+/// let identity = Mapping::identity(3, 3);
+/// let routed =
+///     SabreRouter::new(&device).route(&c, Some(&identity), &mut RouterScratch::new())?;
 /// assert!(routed.swaps_inserted >= 1);
 /// # Ok(())
 /// # }
@@ -101,58 +100,23 @@ impl<'d> SabreRouter<'d> {
         &self.config
     }
 
-    /// Routes `circuit` with a reverse-traversal initial mapping.
+    /// Routes `circuit`, from `initial` when given and otherwise from a
+    /// reverse-traversal placement seeded with [`SabreConfig::seed`],
+    /// reusing `scratch` (see [`crate::CodarRouter::route`]).
     ///
     /// # Errors
     ///
     /// As for [`crate::CodarRouter::route`].
-    pub fn route(&self, circuit: &Circuit) -> Result<RoutedCircuit, RouteError> {
-        self.route_scratch(circuit, &mut RouterScratch::new())
-    }
-
-    /// Routes `circuit` as [`SabreRouter::route`], reusing `scratch`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::CodarRouter::route`].
-    pub fn route_scratch(
+    pub fn route(
         &self,
         circuit: &Circuit,
+        initial: Option<&Mapping>,
         scratch: &mut RouterScratch,
     ) -> Result<RoutedCircuit, RouteError> {
-        validate(circuit, self.device)?;
-        let initial =
-            reverse_traversal_mapping_scratch(circuit, self.device, self.config.seed, scratch);
-        self.route_with_scratch(circuit, initial, scratch)
-    }
-
-    /// Routes `circuit` from an explicit initial mapping.
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::CodarRouter::route`].
-    pub fn route_with_mapping(
-        &self,
-        circuit: &Circuit,
-        initial: Mapping,
-    ) -> Result<RoutedCircuit, RouteError> {
-        self.route_with_scratch(circuit, initial, &mut RouterScratch::new())
-    }
-
-    /// Routes `circuit` from an explicit initial mapping, reusing the
-    /// buffers in `scratch` (see
-    /// [`crate::CodarRouter::route_with_scratch`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`crate::CodarRouter::route`].
-    pub fn route_with_scratch(
-        &self,
-        circuit: &Circuit,
-        initial: Mapping,
-        scratch: &mut RouterScratch,
-    ) -> Result<RoutedCircuit, RouteError> {
-        validate(circuit, self.device)?;
+        let strategy = InitialMapping::SabreReverseTraversal {
+            seed: self.config.seed,
+        };
+        let initial = initial_placement(circuit, self.device, initial, &strategy, scratch)?;
         let (out, final_mapping, swaps) =
             route_core(circuit, self.device, initial.clone(), &self.config, scratch)?;
         let tau = self.device.durations();
@@ -380,14 +344,9 @@ fn route_core(
 /// forward circuit want their qubits.
 ///
 /// Falls back to the identity mapping for circuits with no two-qubit
-/// gates or devices where routing fails (disconnected graphs).
-pub fn reverse_traversal_mapping(circuit: &Circuit, device: &Device, seed: u64) -> Mapping {
-    reverse_traversal_mapping_scratch(circuit, device, seed, &mut RouterScratch::new())
-}
-
-/// As [`reverse_traversal_mapping`], reusing `scratch` across the two
-/// underlying SABRE passes (the engine threads one scratch per worker).
-pub fn reverse_traversal_mapping_scratch(
+/// gates or devices where routing fails (disconnected graphs). Both
+/// passes reuse `scratch`.
+pub fn reverse_traversal_mapping(
     circuit: &Circuit,
     device: &Device,
     seed: u64,
@@ -397,7 +356,7 @@ pub fn reverse_traversal_mapping_scratch(
         seed,
         ..SabreConfig::default()
     };
-    let start = crate::mapping::InitialMapping::Random { seed }.build(circuit, device);
+    let start = InitialMapping::Random { seed }.build(circuit, device, scratch);
     let Ok((_, after_forward, _)) = route_core(circuit, device, start, &config, scratch) else {
         return Mapping::identity(circuit.num_qubits(), device.num_qubits());
     };
@@ -416,9 +375,13 @@ mod tests {
 
     fn route_identity(device: &Device, circuit: &Circuit) -> RoutedCircuit {
         SabreRouter::new(device)
-            .route_with_mapping(
+            .route(
                 circuit,
-                Mapping::identity(circuit.num_qubits(), device.num_qubits()),
+                Some(&Mapping::identity(
+                    circuit.num_qubits(),
+                    device.num_qubits(),
+                )),
+                &mut RouterScratch::new(),
             )
             .unwrap()
     }
@@ -469,8 +432,8 @@ mod tests {
             c.cx(i, i + 1);
         }
         c.cx(0, 5);
-        let a = reverse_traversal_mapping(&c, &device, 42);
-        let b = reverse_traversal_mapping(&c, &device, 42);
+        let a = reverse_traversal_mapping(&c, &device, 42, &mut RouterScratch::new());
+        let b = reverse_traversal_mapping(&c, &device, 42, &mut RouterScratch::new());
         assert_eq!(a, b);
     }
 
@@ -481,8 +444,8 @@ mod tests {
         for i in 0..5 {
             c.cx(i, i + 1);
         }
-        let a = reverse_traversal_mapping(&c, &device, 1);
-        let b = reverse_traversal_mapping(&c, &device, 2);
+        let a = reverse_traversal_mapping(&c, &device, 1, &mut RouterScratch::new());
+        let b = reverse_traversal_mapping(&c, &device, 2, &mut RouterScratch::new());
         // Different seeds usually give different placements; at minimum
         // both are valid injective mappings.
         let check = |m: &Mapping| {
@@ -505,7 +468,9 @@ mod tests {
                 c.cu1(0.5, j, i);
             }
         }
-        let r = SabreRouter::new(&device).route(&c).unwrap();
+        let r = SabreRouter::new(&device)
+            .route(&c, None, &mut RouterScratch::new())
+            .unwrap();
         check_coupling(&r.circuit, &device).unwrap();
         check_equivalence(&c, &r).unwrap();
     }
@@ -529,7 +494,11 @@ mod tests {
         let mut c = Circuit::new(4);
         c.cx(0, 3);
         let err = SabreRouter::new(&device)
-            .route_with_mapping(&c, Mapping::identity(4, 4))
+            .route(
+                &c,
+                Some(&Mapping::identity(4, 4)),
+                &mut RouterScratch::new(),
+            )
             .unwrap_err();
         assert!(matches!(err, RouteError::Disconnected { .. }));
     }

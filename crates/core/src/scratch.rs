@@ -42,8 +42,7 @@ use std::collections::VecDeque;
 /// for _ in 0..3 {
 ///     let mut c = Circuit::new(3);
 ///     c.cx(0, 2);
-///     let routed =
-///         router.route_with_scratch(&c, Mapping::identity(3, 3), &mut scratch)?;
+///     let routed = router.route(&c, Some(&Mapping::identity(3, 3)), &mut scratch)?;
 ///     assert_eq!(routed.swaps_inserted, 1);
 /// }
 /// # Ok(())
@@ -176,34 +175,34 @@ mod tests {
         let mut shared = RouterScratch::new();
         for _round in 0..2 {
             let plain = CodarRouter::new(&device)
-                .route_with_scratch(&circuit, initial.clone(), &mut shared)
+                .route(&circuit, Some(&initial), &mut shared)
                 .unwrap();
             let cal = CodarRouter::new(&device)
                 .with_snapshot(&snapshot)
-                .route_with_scratch(&circuit, initial.clone(), &mut shared)
+                .route(&circuit, Some(&initial), &mut shared)
                 .unwrap();
             let sabre = SabreRouter::new(&device)
-                .route_with_scratch(&circuit, initial.clone(), &mut shared)
+                .route(&circuit, Some(&initial), &mut shared)
                 .unwrap();
             let greedy = GreedyRouter::new(&device)
-                .route_with_scratch(&circuit, initial.clone(), &mut shared)
+                .route(&circuit, Some(&initial), &mut shared)
                 .unwrap();
             // Each result equals a fresh-scratch route of the same call.
             let fresh_plain = CodarRouter::new(&device)
-                .route_with_scratch(&circuit, initial.clone(), &mut RouterScratch::new())
+                .route(&circuit, Some(&initial), &mut RouterScratch::new())
                 .unwrap();
             assert_eq!(plain.circuit.gates(), fresh_plain.circuit.gates());
             let fresh_cal = CodarRouter::new(&device)
                 .with_snapshot(&snapshot)
-                .route_with_scratch(&circuit, initial.clone(), &mut RouterScratch::new())
+                .route(&circuit, Some(&initial), &mut RouterScratch::new())
                 .unwrap();
             assert_eq!(cal.circuit.gates(), fresh_cal.circuit.gates());
             let fresh_sabre = SabreRouter::new(&device)
-                .route_with_scratch(&circuit, initial.clone(), &mut RouterScratch::new())
+                .route(&circuit, Some(&initial), &mut RouterScratch::new())
                 .unwrap();
             assert_eq!(sabre.circuit.gates(), fresh_sabre.circuit.gates());
             let fresh_greedy = GreedyRouter::new(&device)
-                .route_with_scratch(&circuit, initial.clone(), &mut RouterScratch::new())
+                .route(&circuit, Some(&initial), &mut RouterScratch::new())
                 .unwrap();
             assert_eq!(greedy.circuit.gates(), fresh_greedy.circuit.gates());
         }

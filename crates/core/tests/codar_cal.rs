@@ -84,12 +84,12 @@ proptest! {
                     device.name()
                 );
                 let fresh = router
-                    .route_with_mapping(&circuit, initial.clone())
+                    .route(&circuit, Some(&initial), &mut RouterScratch::new())
                     .expect("fits");
                 check_coupling(&fresh.circuit, &device).expect(&context);
                 check_equivalence(&circuit, &fresh).expect(&context);
                 let reused = router
-                    .route_with_scratch(&circuit, initial, &mut shared)
+                    .route(&circuit, Some(&initial), &mut shared)
                     .expect("fits");
                 assert_identical(&fresh, &reused, &context);
             }
@@ -106,11 +106,11 @@ proptest! {
             let snapshot = random_snapshot(&device, seed.wrapping_mul(31));
             let initial = Mapping::identity(circuit.num_qubits(), device.num_qubits());
             let plain = CodarRouter::new(&device)
-                .route_with_scratch(&circuit, initial.clone(), &mut shared)
+                .route(&circuit, Some(&initial), &mut shared)
                 .expect("fits");
             let zero = CodarRouter::new(&device)
                 .with_snapshot(&snapshot)
-                .route_with_scratch(&circuit, initial, &mut shared)
+                .route(&circuit, Some(&initial), &mut shared)
                 .expect("fits");
             assert_identical(
                 &plain,
@@ -133,9 +133,9 @@ proptest! {
         let config = CodarConfig { cal_alpha: 1.0, ..CodarConfig::default() };
         CodarRouter::with_config(&big, config.clone())
             .with_snapshot(&big_snapshot)
-            .route_with_scratch(
+            .route(
                 &circuit,
-                Mapping::identity(circuit.num_qubits(), big.num_qubits()),
+                Some(&Mapping::identity(circuit.num_qubits(), big.num_qubits())),
                 &mut shared,
             )
             .expect("fits");
@@ -145,11 +145,11 @@ proptest! {
         let initial = Mapping::identity(circuit.num_qubits(), small.num_qubits());
         let reused = CodarRouter::with_config(&small, config.clone())
             .with_snapshot(&small_snapshot)
-            .route_with_scratch(&circuit, initial.clone(), &mut shared)
+            .route(&circuit, Some(&initial), &mut shared)
             .expect("fits");
         let fresh = CodarRouter::with_config(&small, config)
             .with_snapshot(&small_snapshot)
-            .route_with_mapping(&circuit, initial)
+            .route(&circuit, Some(&initial), &mut RouterScratch::new())
             .expect("fits");
         assert_identical(&fresh, &reused, &format!("seed {seed} big→small"));
     }

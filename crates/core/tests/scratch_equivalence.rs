@@ -1,16 +1,20 @@
 //! Scratch-reuse equivalence properties: the optimized, scratch-backed
 //! router hot paths must produce **gate-for-gate identical**
-//! [`RoutedCircuit`]s whether the scratch is fresh per call (the
-//! `route_with_mapping` behavior, equal to the seed implementation —
-//! pinned by the golden summaries) or reused across many circuits and
-//! devices (the engine-worker behavior). Identity covers the routed
-//! gate sequence, the inserted SWAPs, the start times and the weighted
-//! depth.
+//! [`RoutedCircuit`]s whether the scratch is fresh per call (equal to
+//! the seed implementation — pinned by the golden summaries) or reused
+//! across many circuits and devices (the engine-worker behavior). Each
+//! property also routes once from the router's own placement
+//! (`initial = None`) and once from that same placement built
+//! explicitly and passed in: the two must agree too. Identity covers
+//! the routed gate sequence, the inserted SWAPs, the start times and
+//! the weighted depth.
 
 use codar_arch::Device;
 use codar_benchmarks::generators;
+use codar_router::sabre::reverse_traversal_mapping;
 use codar_router::{
-    CodarConfig, CodarRouter, GreedyRouter, Mapping, RoutedCircuit, RouterScratch, SabreRouter,
+    CodarConfig, CodarRouter, GreedyRouter, InitialMapping, Mapping, RoutedCircuit, RouterScratch,
+    SabreRouter,
 };
 use proptest::prelude::*;
 
@@ -59,7 +63,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// CODAR: fresh scratch per call == one scratch shared across the
-    /// whole circuit×device matrix.
+    /// whole circuit×device matrix; own placement == the same
+    /// placement passed in.
     #[test]
     fn codar_scratch_reuse_is_invisible(seed in 0u64..1000) {
         let circuit = random_circuit(seed);
@@ -68,12 +73,16 @@ proptest! {
             let initial = Mapping::identity(circuit.num_qubits(), device.num_qubits());
             let router = CodarRouter::new(&device);
             let fresh = router
-                .route_with_mapping(&circuit, initial.clone())
+                .route(&circuit, Some(&initial), &mut RouterScratch::new())
                 .expect("fits");
-            let reused = router
-                .route_with_scratch(&circuit, initial, &mut shared)
-                .expect("fits");
-            assert_identical(&fresh, &reused, &format!("codar seed {seed} on {}", device.name()));
+            let reused = router.route(&circuit, Some(&initial), &mut shared).expect("fits");
+            let context = format!("codar seed {seed} on {}", device.name());
+            assert_identical(&fresh, &reused, &context);
+            let explicit =
+                router.config().initial_mapping.build(&circuit, &device, &mut RouterScratch::new());
+            let own = router.route(&circuit, None, &mut shared).expect("fits");
+            let given = router.route(&circuit, Some(&explicit), &mut shared).expect("fits");
+            assert_identical(&own, &given, &format!("{context}, own placement"));
         }
     }
 
@@ -85,11 +94,18 @@ proptest! {
         let mut shared = RouterScratch::new();
         for device in catalog() {
             let router = SabreRouter::new(&device);
-            let fresh = router.route(&circuit).expect("fits");
-            let reused = router
-                .route_scratch(&circuit, &mut shared)
-                .expect("fits");
-            assert_identical(&fresh, &reused, &format!("sabre seed {seed} on {}", device.name()));
+            let fresh = router.route(&circuit, None, &mut RouterScratch::new()).expect("fits");
+            let reused = router.route(&circuit, None, &mut shared).expect("fits");
+            let context = format!("sabre seed {seed} on {}", device.name());
+            assert_identical(&fresh, &reused, &context);
+            let explicit = reverse_traversal_mapping(
+                &circuit,
+                &device,
+                router.config().seed,
+                &mut RouterScratch::new(),
+            );
+            let given = router.route(&circuit, Some(&explicit), &mut shared).expect("fits");
+            assert_identical(&reused, &given, &format!("{context}, own placement"));
         }
     }
 
@@ -102,12 +118,17 @@ proptest! {
             let initial = Mapping::identity(circuit.num_qubits(), device.num_qubits());
             let router = GreedyRouter::new(&device);
             let fresh = router
-                .route_with_mapping(&circuit, initial.clone())
+                .route(&circuit, Some(&initial), &mut RouterScratch::new())
                 .expect("fits");
-            let reused = router
-                .route_with_scratch(&circuit, initial, &mut shared)
-                .expect("fits");
-            assert_identical(&fresh, &reused, &format!("greedy seed {seed} on {}", device.name()));
+            let reused = router.route(&circuit, Some(&initial), &mut shared).expect("fits");
+            let context = format!("greedy seed {seed} on {}", device.name());
+            assert_identical(&fresh, &reused, &context);
+            // The greedy router's default placement is the identity.
+            let explicit =
+                InitialMapping::Identity.build(&circuit, &device, &mut RouterScratch::new());
+            let own = router.route(&circuit, None, &mut shared).expect("fits");
+            let given = router.route(&circuit, Some(&explicit), &mut shared).expect("fits");
+            assert_identical(&own, &given, &format!("{context}, own placement"));
         }
     }
 
@@ -130,16 +151,16 @@ proptest! {
             let initial = Mapping::identity(circuit.num_qubits(), device.num_qubits());
             let router = CodarRouter::with_config(&device, config);
             let fresh = router
-                .route_with_mapping(&circuit, initial.clone())
+                .route(&circuit, Some(&initial), &mut RouterScratch::new())
                 .expect("fits");
-            let reused = router
-                .route_with_scratch(&circuit, initial, &mut shared)
-                .expect("fits");
-            assert_identical(
-                &fresh,
-                &reused,
-                &format!("ablation ({duration},{commutativity},{hfine}) seed {seed}"),
-            );
+            let reused = router.route(&circuit, Some(&initial), &mut shared).expect("fits");
+            let context = format!("ablation ({duration},{commutativity},{hfine}) seed {seed}");
+            assert_identical(&fresh, &reused, &context);
+            let explicit =
+                router.config().initial_mapping.build(&circuit, &device, &mut RouterScratch::new());
+            let own = router.route(&circuit, None, &mut shared).expect("fits");
+            let given = router.route(&circuit, Some(&explicit), &mut shared).expect("fits");
+            assert_identical(&own, &given, &format!("{context}, own placement"));
         }
     }
 }

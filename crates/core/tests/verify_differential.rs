@@ -16,7 +16,7 @@
 use codar_arch::Device;
 use codar_circuit::{Circuit, GateKind};
 use codar_router::verify::check_equivalence;
-use codar_router::{CodarRouter, GreedyRouter, Mapping, RoutedCircuit, SabreRouter};
+use codar_router::{CodarRouter, GreedyRouter, Mapping, RoutedCircuit, RouterScratch, SabreRouter};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -233,9 +233,9 @@ fn routes(rng: &mut StdRng, circuit: &Circuit, device: &Device) -> Vec<RoutedCir
     slots.truncate(circuit.num_qubits());
     let initial = Mapping::from_assignment(slots, physical);
     vec![
-        CodarRouter::new(device).route_with_mapping(circuit, initial.clone()),
-        GreedyRouter::new(device).route_with_mapping(circuit, initial.clone()),
-        SabreRouter::new(device).route_with_mapping(circuit, initial),
+        CodarRouter::new(device).route(circuit, Some(&initial), &mut RouterScratch::new()),
+        GreedyRouter::new(device).route(circuit, Some(&initial), &mut RouterScratch::new()),
+        SabreRouter::new(device).route(circuit, Some(&initial), &mut RouterScratch::new()),
     ]
     .into_iter()
     .map(|r| r.expect("a connected device routes every ≤ 2-qubit circuit"))

@@ -393,7 +393,6 @@ impl SuiteRunner {
                 &cal_ctx[spec * self.devices.len() + job.device],
             )
         });
-        let started = Instant::now();
         // With shared_initial_mapping every router job in a (entry,
         // device) cell routes from the same reverse-traversal placement
         // (the paper's protocol); otherwise each variant builds its own
@@ -411,6 +410,11 @@ impl SuiteRunner {
         } else {
             None
         };
+        // The clock starts once the shared mapping is in hand: it is
+        // built once per (entry, device) cell, and charging it to the
+        // variant that happens to build it would skew that variant's
+        // wall time.
+        let started = Instant::now();
         let snapshot = cal.map(|(_, (snapshot, _))| snapshot.as_ref());
         // Portfolio jobs route under every member and keep the winner
         // (scored against the job's calibration model when one is

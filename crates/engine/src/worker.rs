@@ -12,7 +12,7 @@
 use crate::job::{RouterKind, RouterVariant};
 use codar_arch::{selection_score, CalibrationSnapshot, Device, FidelityModel};
 use codar_circuit::Circuit;
-use codar_router::sabre::reverse_traversal_mapping_scratch;
+use codar_router::sabre::reverse_traversal_mapping;
 use codar_router::verify::{check_coupling, check_equivalence, reconstruct_logical};
 use codar_router::{
     CodarRouter, GreedyRouter, Mapping, RouteError, RoutedCircuit, RouterScratch, SabreRouter,
@@ -74,7 +74,7 @@ impl RouteWorker {
     /// The paper-protocol initial placement (reverse traversal, two
     /// SABRE passes), computed with this worker's scratch.
     pub fn initial_mapping(&mut self, circuit: &Circuit, device: &Device, seed: u64) -> Mapping {
-        reverse_traversal_mapping_scratch(circuit, device, seed, &mut self.scratch)
+        reverse_traversal_mapping(circuit, device, seed, &mut self.scratch)
     }
 
     /// Routes `circuit` on `device` with `variant`.
@@ -88,7 +88,8 @@ impl RouteWorker {
     /// [`RouterKind::CodarCal`] consumes it (blending
     /// `variant.codar.cal_alpha ×` normalized edge error into the SWAP
     /// priority). A `CodarCal` variant without a snapshot routes as
-    /// plain CODAR.
+    /// plain CODAR. A [`RouterKind::Portfolio`] variant returns the
+    /// winner of [`RouteWorker::route_portfolio`] over its members.
     ///
     /// # Errors
     ///
@@ -102,48 +103,24 @@ impl RouteWorker {
         initial: Option<Mapping>,
         snapshot: Option<&CalibrationSnapshot>,
     ) -> Result<RoutedCircuit, RouteError> {
-        if variant.kind == RouterKind::Portfolio {
-            return self
-                .route_portfolio(
-                    circuit,
-                    device,
-                    &variant.members,
-                    initial.as_ref(),
-                    snapshot,
-                    None,
-                )
-                .map(|outcome| outcome.routed);
-        }
+        let initial = initial.as_ref();
         let scratch = &mut self.scratch;
-        match (variant.kind, initial) {
-            (RouterKind::Codar, Some(mapping)) => {
-                CodarRouter::with_config(device, variant.codar.clone())
-                    .route_with_scratch(circuit, mapping, scratch)
-            }
-            (RouterKind::Codar, None) => CodarRouter::with_config(device, variant.codar.clone())
-                .route_scratch(circuit, scratch),
-            (RouterKind::CodarCal, initial) => {
-                let mut router = CodarRouter::with_config(device, variant.codar.clone());
-                if let Some(snapshot) = snapshot {
-                    router = router.with_snapshot(snapshot);
-                }
-                match initial {
-                    Some(mapping) => router.route_with_scratch(circuit, mapping, scratch),
-                    None => router.route_scratch(circuit, scratch),
+        match variant.kind {
+            RouterKind::Codar | RouterKind::CodarCal => {
+                let router = CodarRouter::with_config(device, variant.codar.clone());
+                match snapshot {
+                    Some(snapshot) if variant.kind == RouterKind::CodarCal => router
+                        .with_snapshot(snapshot)
+                        .route(circuit, initial, scratch),
+                    _ => router.route(circuit, initial, scratch),
                 }
             }
-            (RouterKind::Sabre, Some(mapping)) => {
-                SabreRouter::with_config(device, variant.sabre.clone())
-                    .route_with_scratch(circuit, mapping, scratch)
-            }
-            (RouterKind::Sabre, None) => SabreRouter::with_config(device, variant.sabre.clone())
-                .route_scratch(circuit, scratch),
-            (RouterKind::Greedy, Some(mapping)) => {
-                GreedyRouter::new(device).route_with_scratch(circuit, mapping, scratch)
-            }
-            (RouterKind::Greedy, None) => GreedyRouter::new(device).route_scratch(circuit, scratch),
-            // Handled by the early return above.
-            (RouterKind::Portfolio, _) => unreachable!("portfolio dispatch happens above"),
+            RouterKind::Sabre => SabreRouter::with_config(device, variant.sabre.clone())
+                .route(circuit, initial, scratch),
+            RouterKind::Greedy => GreedyRouter::new(device).route(circuit, initial, scratch),
+            RouterKind::Portfolio => self
+                .route_portfolio(circuit, device, &variant.members, initial, snapshot, None)
+                .map(|outcome| outcome.routed),
         }
     }
 
@@ -227,12 +204,6 @@ impl RouteWorker {
         }
     }
 
-    /// Direct access to the underlying scratch, for callers that need
-    /// to run other scratch-threaded router entry points.
-    pub fn scratch_mut(&mut self) -> &mut RouterScratch {
-        &mut self.scratch
-    }
-
     /// Differentially verifies a routed circuit against its original by
     /// *simulating both*: the routed circuit is reconstructed back onto
     /// logical qubits (undoing the router's SWAPs) and the two are run
@@ -298,16 +269,19 @@ mod tests {
                 .expect("fits");
             let direct = match kind {
                 // Snapshot-less codar-cal routes exactly as CODAR.
-                RouterKind::Codar | RouterKind::CodarCal => CodarRouter::new(&device)
-                    .route_with_scratch(&entry.circuit, initial, &mut RouterScratch::new()),
-                RouterKind::Sabre => SabreRouter::new(&device).route_with_scratch(
+                RouterKind::Codar | RouterKind::CodarCal => CodarRouter::new(&device).route(
                     &entry.circuit,
-                    initial,
+                    Some(&initial),
                     &mut RouterScratch::new(),
                 ),
-                RouterKind::Greedy => GreedyRouter::new(&device).route_with_scratch(
+                RouterKind::Sabre => SabreRouter::new(&device).route(
                     &entry.circuit,
-                    initial,
+                    Some(&initial),
+                    &mut RouterScratch::new(),
+                ),
+                RouterKind::Greedy => GreedyRouter::new(&device).route(
+                    &entry.circuit,
+                    Some(&initial),
                     &mut RouterScratch::new(),
                 ),
                 RouterKind::Portfolio => unreachable!("not in this test's kind list"),

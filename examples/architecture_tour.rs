@@ -6,7 +6,7 @@
 
 use codar_repro::arch::{Device, GateDurations};
 use codar_repro::benchmarks::generators;
-use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping};
+use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, RouterScratch};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("maQAM device models\n");
@@ -37,11 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         initial_mapping: InitialMapping::Identity,
         ..CodarConfig::default()
     };
+    let mut scratch = RouterScratch::new();
     for d in &devices {
         if d.num_qubits() < circuit.num_qubits() {
             continue;
         }
-        let routed = CodarRouter::with_config(d, config.clone()).route(&circuit)?;
+        let routed =
+            CodarRouter::with_config(d, config.clone()).route(&circuit, None, &mut scratch)?;
         println!(
             "{:<22}{:>12}{:>10}",
             d.name(),
@@ -58,7 +60,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("neutral atom", GateDurations::neutral_atom()),
     ] {
         let device = Device::grid(4, 4).with_durations(tau);
-        let routed = CodarRouter::with_config(&device, config.clone()).route(&circuit)?;
+        let routed = CodarRouter::with_config(&device, config.clone()).route(
+            &circuit,
+            None,
+            &mut scratch,
+        )?;
         println!(
             "  {:<18} weighted depth {:>6} ({} swaps)",
             name, routed.weighted_depth, routed.swaps_inserted

@@ -8,15 +8,16 @@
 use codar_repro::arch::Device;
 use codar_repro::benchmarks::generators;
 use codar_repro::router::sabre::reverse_traversal_mapping;
-use codar_repro::router::{CodarRouter, SabreRouter};
+use codar_repro::router::{CodarRouter, RouterScratch, SabreRouter};
 use codar_repro::sim::{FidelityReport, NoiseModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = Device::ibm_q20_tokyo();
     let circuit = generators::ising_qaoa(6, 2, 28);
-    let initial = reverse_traversal_mapping(&circuit, &device, 0);
-    let codar = CodarRouter::new(&device).route_with_mapping(&circuit, initial.clone())?;
-    let sabre = SabreRouter::new(&device).route_with_mapping(&circuit, initial)?;
+    let mut scratch = RouterScratch::new();
+    let initial = reverse_traversal_mapping(&circuit, &device, 0, &mut scratch);
+    let codar = CodarRouter::new(&device).route(&circuit, Some(&initial), &mut scratch)?;
+    let sabre = SabreRouter::new(&device).route(&circuit, Some(&initial), &mut scratch)?;
     println!("ising/QAOA on {}:", device.name());
     println!("  codar weighted depth {}", codar.weighted_depth);
     println!("  sabre weighted depth {}\n", sabre.weighted_depth);

@@ -8,7 +8,7 @@ use codar_repro::arch::{Device, GateDurations};
 use codar_repro::circuit::decompose::translate_to_ion_basis;
 use codar_repro::circuit::render::render_timeline;
 use codar_repro::circuit::weighted_depth;
-use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping};
+use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, RouterScratch};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small GHZ-plus-phases program.
@@ -22,7 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         initial_mapping: InitialMapping::Identity,
         ..CodarConfig::default()
     };
-    let routed = CodarRouter::with_config(&grid, config).route(&program)?;
+    let routed =
+        CodarRouter::with_config(&grid, config).route(&program, None, &mut RouterScratch::new())?;
     println!("superconducting 2x2 grid (1q=1, 2q=2, SWAP=6 cycles):");
     println!(
         "  {} gates, {} swaps, weighted depth {}",

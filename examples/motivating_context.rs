@@ -18,7 +18,7 @@
 
 use codar_repro::arch::{CouplingGraph, Device};
 use codar_repro::circuit::Circuit;
-use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping};
+use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, RouterScratch};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let graph = CouplingGraph::new(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
@@ -31,7 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         initial_mapping: InitialMapping::Identity,
         ..CodarConfig::default()
     };
-    let routed = CodarRouter::with_config(&device, config).route(&program)?;
+    let routed = CodarRouter::with_config(&device, config).route(
+        &program,
+        None,
+        &mut RouterScratch::new(),
+    )?;
 
     println!("paper Fig. 1 — impact of program context\n");
     println!("routed schedule (cycle: gate):");

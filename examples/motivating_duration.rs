@@ -18,7 +18,7 @@
 
 use codar_repro::arch::Device;
 use codar_repro::circuit::{Circuit, GateKind};
-use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping};
+use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, RouterScratch};
 
 fn route(duration_aware: bool) -> codar_repro::router::RoutedCircuit {
     let mut program = Circuit::new(4);
@@ -35,7 +35,7 @@ fn route(duration_aware: bool) -> codar_repro::router::RoutedCircuit {
         ..CodarConfig::default()
     };
     CodarRouter::with_config(&device, config)
-        .route(&program)
+        .route(&program, None, &mut RouterScratch::new())
         .expect("fits the device")
 }
 

@@ -5,7 +5,7 @@
 
 use codar_repro::arch::Device;
 use codar_repro::circuit::from_qasm::{circuit_from_source, circuit_to_qasm};
-use codar_repro::router::{CodarRouter, SabreRouter};
+use codar_repro::router::{CodarRouter, RouterScratch, SabreRouter};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. An OpenQASM 2.0 program: a 4-qubit QFT.
@@ -36,9 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = Device::ibm_q20_tokyo();
     println!("device: {device}");
 
-    // 3. Route with CODAR and with the SABRE baseline.
-    let codar = CodarRouter::new(&device).route(&circuit)?;
-    let sabre = SabreRouter::new(&device).route(&circuit)?;
+    // 3. Route with CODAR and with the SABRE baseline, each from its
+    //    own initial placement (`None`), sharing one scratch.
+    let mut scratch = RouterScratch::new();
+    let codar = CodarRouter::new(&device).route(&circuit, None, &mut scratch)?;
+    let sabre = SabreRouter::new(&device).route(&circuit, None, &mut scratch)?;
     println!("codar: {codar}");
     println!("sabre: {sabre}");
     println!(

@@ -10,7 +10,7 @@ use codar_repro::benchmarks::corpus;
 use codar_repro::circuit::decompose::decompose_three_qubit_gates;
 use codar_repro::router::sabre::reverse_traversal_mapping;
 use codar_repro::router::verify::{check_coupling, check_equivalence};
-use codar_repro::router::{CodarRouter, SabreRouter};
+use codar_repro::router::{CodarRouter, RouterScratch, SabreRouter};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = corpus::load(corpus::MAJ_ADDER_QASM)?;
@@ -28,9 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "architecture", "codar WD", "sabre WD", "codar SW", "sabre SW", "speedup"
     );
     for device in Device::paper_architectures() {
-        let initial = reverse_traversal_mapping(&routable, &device, 0);
-        let codar = CodarRouter::new(&device).route_with_mapping(&routable, initial.clone())?;
-        let sabre = SabreRouter::new(&device).route_with_mapping(&routable, initial)?;
+        let mut scratch = RouterScratch::new();
+        let initial = reverse_traversal_mapping(&routable, &device, 0, &mut scratch);
+        let codar = CodarRouter::new(&device).route(&routable, Some(&initial), &mut scratch)?;
+        let sabre = SabreRouter::new(&device).route(&routable, Some(&initial), &mut scratch)?;
         check_coupling(&codar.circuit, &device)?;
         check_coupling(&sabre.circuit, &device)?;
         check_equivalence(&routable, &codar)?;

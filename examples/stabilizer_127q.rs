@@ -10,7 +10,7 @@ use codar_repro::arch::Device;
 use codar_repro::benchmarks::generators::ghz_ladder;
 use codar_repro::engine::Backend;
 use codar_repro::router::sabre::reverse_traversal_mapping;
-use codar_repro::router::CodarRouter;
+use codar_repro::router::{CodarRouter, RouterScratch};
 use codar_repro::sim::backend::{check_routed_equivalence_stabilizer, run_counts};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,9 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Route onto the heavy-hex coupling graph.
-    let initial = reverse_traversal_mapping(&circuit, &device, 0);
+    let mut scratch = RouterScratch::new();
+    let initial = reverse_traversal_mapping(&circuit, &device, 0, &mut scratch);
     let routed = CodarRouter::new(&device)
-        .route_with_mapping(&circuit, initial)
+        .route(&circuit, Some(&initial), &mut scratch)
         .expect("the ladder spans exactly the device");
     println!(
         "routed on {}: {} gates, {} swaps, weighted depth {}",

@@ -21,7 +21,7 @@ use codar_repro::circuit::stats::CircuitStats;
 use codar_repro::circuit::Circuit;
 use codar_repro::router::sabre::reverse_traversal_mapping;
 use codar_repro::router::verify::{check_coupling, check_equivalence};
-use codar_repro::router::{CodarRouter, GreedyRouter, RoutedCircuit, SabreRouter};
+use codar_repro::router::{CodarRouter, GreedyRouter, RoutedCircuit, RouterScratch, SabreRouter};
 use std::process::ExitCode;
 
 struct Options {
@@ -91,11 +91,12 @@ fn load_circuit(path: &str, do_optimize: bool) -> Result<Circuit, String> {
 }
 
 fn route_one(circuit: &Circuit, options: &Options) -> Result<RoutedCircuit, String> {
-    let initial = reverse_traversal_mapping(circuit, &options.device, options.seed);
+    let mut scratch = RouterScratch::new();
+    let initial = reverse_traversal_mapping(circuit, &options.device, options.seed, &mut scratch);
     let routed = match options.router.as_str() {
-        "codar" => CodarRouter::new(&options.device).route_with_mapping(circuit, initial),
-        "sabre" => SabreRouter::new(&options.device).route_with_mapping(circuit, initial),
-        _ => GreedyRouter::new(&options.device).route_with_mapping(circuit, initial),
+        "codar" => CodarRouter::new(&options.device).route(circuit, Some(&initial), &mut scratch),
+        "sabre" => SabreRouter::new(&options.device).route(circuit, Some(&initial), &mut scratch),
+        _ => GreedyRouter::new(&options.device).route(circuit, Some(&initial), &mut scratch),
     }
     .map_err(|e| e.to_string())?;
     check_coupling(&routed.circuit, &options.device).map_err(|e| e.to_string())?;

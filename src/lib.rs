@@ -23,7 +23,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let circuit = codar_repro::benchmarks::qft(4);
 //! let device = Device::ibm_q20_tokyo();
-//! let routed = CodarRouter::new(&device).route(&circuit)?;
+//! let routed = CodarRouter::new(&device).route(&circuit, None, &mut RouterScratch::new())?;
 //! assert!(routed.weighted_depth > 0);
 //! # Ok(())
 //! # }
@@ -42,6 +42,6 @@ pub use codar_sim as sim;
 pub mod prelude {
     pub use codar_arch::{Device, GateDurations};
     pub use codar_circuit::{Circuit, Gate, GateKind};
-    pub use codar_router::{CodarRouter, RoutedCircuit, SabreRouter};
+    pub use codar_router::{CodarRouter, RoutedCircuit, RouterScratch, SabreRouter};
     pub use codar_sim::{NoiseModel, StateVector};
 }

@@ -12,7 +12,7 @@ use codar_repro::benchmarks::generators::{ghz_ladder, syndrome_cycle};
 use codar_repro::circuit::Circuit;
 use codar_repro::router::sabre::reverse_traversal_mapping;
 use codar_repro::router::verify::{check_coupling, check_equivalence};
-use codar_repro::router::{CodarRouter, RoutedCircuit, SabreRouter};
+use codar_repro::router::{CodarRouter, RoutedCircuit, RouterScratch, SabreRouter};
 use codar_repro::sim::backend::check_routed_equivalence_stabilizer;
 use codar_repro::sim::exec::run_ideal;
 use proptest::prelude::*;
@@ -124,12 +124,13 @@ fn routed_clifford_circuits_verify_at_whole_device_scale() {
             ("syndrome_cycle", syndrome_cycle(n.div_ceil(2), 2)),
         ];
         for (name, circuit) in circuits {
-            let initial = reverse_traversal_mapping(&circuit, &device, 0);
+            let mut scratch = RouterScratch::new();
+            let initial = reverse_traversal_mapping(&circuit, &device, 0, &mut scratch);
             let codar = CodarRouter::new(&device)
-                .route_with_mapping(&circuit, initial.clone())
+                .route(&circuit, Some(&initial), &mut scratch)
                 .expect("fits the device");
             let sabre = SabreRouter::new(&device)
-                .route_with_mapping(&circuit, initial)
+                .route(&circuit, Some(&initial), &mut scratch)
                 .expect("fits the device");
             for (router, routed) in [("codar", &codar), ("sabre", &sabre)] {
                 check_coupling(&routed.circuit, &device)
@@ -152,12 +153,13 @@ proptest! {
         seed in 0u64..64,
     ) {
         let device = Device::grid(2, 3);
-        let initial = reverse_traversal_mapping(&circuit, &device, seed);
+        let mut scratch = RouterScratch::new();
+        let initial = reverse_traversal_mapping(&circuit, &device, seed, &mut scratch);
         let codar = CodarRouter::new(&device)
-            .route_with_mapping(&circuit, initial.clone())
+            .route(&circuit, Some(&initial), &mut scratch)
             .expect("5 qubits fit a 6-qubit grid");
         let sabre = SabreRouter::new(&device)
-            .route_with_mapping(&circuit, initial)
+            .route(&circuit, Some(&initial), &mut scratch)
             .expect("5 qubits fit a 6-qubit grid");
 
         // Both outputs satisfy the structural contract...
@@ -193,12 +195,13 @@ proptest! {
         seed in 0u64..32,
     ) {
         let device = Device::linear(5);
-        let initial = reverse_traversal_mapping(&circuit, &device, seed);
+        let mut scratch = RouterScratch::new();
+        let initial = reverse_traversal_mapping(&circuit, &device, seed, &mut scratch);
         let codar = CodarRouter::new(&device)
-            .route_with_mapping(&circuit, initial.clone())
+            .route(&circuit, Some(&initial), &mut scratch)
             .expect("fits");
         let sabre = SabreRouter::new(&device)
-            .route_with_mapping(&circuit, initial)
+            .route(&circuit, Some(&initial), &mut scratch)
             .expect("fits");
         check_equivalence(&circuit, &codar).expect("codar preserves semantics");
         check_equivalence(&circuit, &sabre).expect("sabre preserves semantics");

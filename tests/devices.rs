@@ -7,7 +7,7 @@ use codar_repro::arch::Device;
 use codar_repro::benchmarks::suite::fidelity_suite;
 use codar_repro::router::sabre::reverse_traversal_mapping;
 use codar_repro::router::verify::{check_coupling, check_equivalence};
-use codar_repro::router::{CodarRouter, GreedyRouter, SabreRouter};
+use codar_repro::router::{CodarRouter, GreedyRouter, RouterScratch, SabreRouter};
 
 #[test]
 fn every_preset_routes_the_fidelity_suite() {
@@ -16,9 +16,10 @@ fn every_preset_routes_the_fidelity_suite() {
             if entry.num_qubits > device.num_qubits() {
                 continue;
             }
-            let initial = reverse_traversal_mapping(&entry.circuit, &device, 0);
+            let mut scratch = RouterScratch::new();
+            let initial = reverse_traversal_mapping(&entry.circuit, &device, 0, &mut scratch);
             let routed = CodarRouter::new(&device)
-                .route_with_mapping(&entry.circuit, initial)
+                .route(&entry.circuit, Some(&initial), &mut scratch)
                 .unwrap_or_else(|e| panic!("{alias}/{}: {e}", entry.name));
             check_coupling(&routed.circuit, &device)
                 .unwrap_or_else(|e| panic!("{alias}/{}: {e}", entry.name));
@@ -33,15 +34,16 @@ fn all_three_routers_agree_on_validity() {
     let device = Device::ibm_falcon27();
     let suite = fidelity_suite();
     let entry = suite.iter().find(|e| e.name == "qft_5").expect("qft_5");
-    let initial = reverse_traversal_mapping(&entry.circuit, &device, 3);
+    let mut scratch = RouterScratch::new();
+    let initial = reverse_traversal_mapping(&entry.circuit, &device, 3, &mut scratch);
     let codar = CodarRouter::new(&device)
-        .route_with_mapping(&entry.circuit, initial.clone())
+        .route(&entry.circuit, Some(&initial), &mut scratch)
         .expect("codar routes");
     let sabre = SabreRouter::new(&device)
-        .route_with_mapping(&entry.circuit, initial.clone())
+        .route(&entry.circuit, Some(&initial), &mut scratch)
         .expect("sabre routes");
     let greedy = GreedyRouter::new(&device)
-        .route_with_mapping(&entry.circuit, initial)
+        .route(&entry.circuit, Some(&initial), &mut scratch)
         .expect("greedy routes");
     for routed in [&codar, &sabre, &greedy] {
         check_coupling(&routed.circuit, &device).expect("coupling");
@@ -62,9 +64,10 @@ fn heavy_hex_sparse_topology_is_routable_end_to_end() {
     for i in 0..12usize {
         ring.cx(i, (i + 1) % 12);
     }
-    let initial = reverse_traversal_mapping(&ring, &device, 0);
+    let mut scratch = RouterScratch::new();
+    let initial = reverse_traversal_mapping(&ring, &device, 0, &mut scratch);
     let routed = CodarRouter::new(&device)
-        .route_with_mapping(&ring, initial)
+        .route(&ring, Some(&initial), &mut scratch)
         .expect("fits");
     check_coupling(&routed.circuit, &device).expect("coupling");
     check_equivalence(&ring, &routed).expect("equivalence");

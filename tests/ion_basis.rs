@@ -111,7 +111,7 @@ fn whole_programs_translate_exactly() {
 #[test]
 fn ion_translation_composes_with_routing() {
     use codar_repro::arch::Device;
-    use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping};
+    use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, RouterScratch};
     // Route first (swaps become cx triples? no — swap is 2q and legal on
     // the device), then translate for execution on an ion chain with
     // all-to-all coupling: routing on the superconducting device, ion
@@ -127,7 +127,7 @@ fn ion_translation_composes_with_routing() {
         ..CodarConfig::default()
     };
     let routed = CodarRouter::with_config(&device, config)
-        .route(&circuit)
+        .route(&circuit, None, &mut RouterScratch::new())
         .expect("fits");
     let logical = codar_repro::router::verify::reconstruct_logical(
         &routed.circuit,

@@ -118,7 +118,7 @@ fn optimization_before_routing_helps() {
     // Redundancy-laden circuit: optimization should reduce the routed
     // weighted depth (or at least never increase the input size).
     use codar_repro::arch::Device;
-    use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping};
+    use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, RouterScratch};
     let mut c = Circuit::new(4);
     for _ in 0..5 {
         c.h(0);
@@ -137,10 +137,10 @@ fn optimization_before_routing_helps() {
         ..CodarConfig::default()
     };
     let raw = CodarRouter::with_config(&device, config.clone())
-        .route(&c)
+        .route(&c, None, &mut RouterScratch::new())
         .expect("fits");
     let opt = CodarRouter::with_config(&device, config)
-        .route(&optimized)
+        .route(&optimized, None, &mut RouterScratch::new())
         .expect("fits");
     assert!(opt.weighted_depth < raw.weighted_depth);
 }

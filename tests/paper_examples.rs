@@ -3,7 +3,7 @@
 use codar_repro::arch::{CouplingGraph, Device};
 use codar_repro::circuit::{Circuit, GateKind};
 use codar_repro::router::sabre::reverse_traversal_mapping;
-use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, SabreRouter};
+use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, RouterScratch, SabreRouter};
 
 fn identity_config() -> CodarConfig {
     CodarConfig {
@@ -22,7 +22,7 @@ fn fig1_swap_avoids_busy_qubit() {
     program.t(2);
     program.cx(0, 3);
     let routed = CodarRouter::with_config(&device, identity_config())
-        .route(&program)
+        .route(&program, None, &mut RouterScratch::new())
         .expect("fits");
     let (swap, start) = routed
         .circuit
@@ -46,7 +46,7 @@ fn fig2_swap_starts_after_short_gate() {
     program.cx(0, 2);
     program.cx(0, 3);
     let routed = CodarRouter::with_config(&device, identity_config())
-        .route(&program)
+        .route(&program, None, &mut RouterScratch::new())
         .expect("fits");
     let (swap, start) = routed
         .circuit
@@ -81,7 +81,7 @@ fn fig7_walkthrough() {
     program2.cx(0, 5);
     let _ = program;
     let routed = CodarRouter::with_config(&device, identity_config())
-        .route(&program2)
+        .route(&program2, None, &mut RouterScratch::new())
         .expect("fits");
     // The direct CX and the T both start at 0.
     assert_eq!(routed.start_times[0], 0);
@@ -118,12 +118,13 @@ fn codar_beats_sabre_on_average() {
     let mut ratio_sum = 0.0;
     for name in sample {
         let entry = suite.iter().find(|e| e.name == name).expect("in suite");
-        let initial = reverse_traversal_mapping(&entry.circuit, &device, 0);
+        let mut scratch = RouterScratch::new();
+        let initial = reverse_traversal_mapping(&entry.circuit, &device, 0, &mut scratch);
         let codar = CodarRouter::new(&device)
-            .route_with_mapping(&entry.circuit, initial.clone())
+            .route(&entry.circuit, Some(&initial), &mut scratch)
             .expect("fits");
         let sabre = SabreRouter::new(&device)
-            .route_with_mapping(&entry.circuit, initial)
+            .route(&entry.circuit, Some(&initial), &mut scratch)
             .expect("fits");
         ratio_sum += sabre.weighted_depth as f64 / codar.weighted_depth as f64;
     }
@@ -143,12 +144,13 @@ fn codar_trades_swaps_for_parallelism() {
     let mut sabre_depth = 0u64;
     for name in ["qft_10", "ising_10", "random_10"] {
         let entry = suite.iter().find(|e| e.name == name).expect("in suite");
-        let initial = reverse_traversal_mapping(&entry.circuit, &device, 0);
+        let mut scratch = RouterScratch::new();
+        let initial = reverse_traversal_mapping(&entry.circuit, &device, 0, &mut scratch);
         let codar = CodarRouter::new(&device)
-            .route_with_mapping(&entry.circuit, initial.clone())
+            .route(&entry.circuit, Some(&initial), &mut scratch)
             .expect("fits");
         let sabre = SabreRouter::new(&device)
-            .route_with_mapping(&entry.circuit, initial)
+            .route(&entry.circuit, Some(&initial), &mut scratch)
             .expect("fits");
         codar_swaps += codar.swaps_inserted;
         sabre_swaps += sabre.swaps_inserted;
@@ -177,12 +179,13 @@ fn codar_extracts_more_parallelism() {
     let mut sabre_avg = 0.0;
     for name in ["qft_10", "ising_10", "random_10"] {
         let entry = suite.iter().find(|e| e.name == name).expect("in suite");
-        let initial = reverse_traversal_mapping(&entry.circuit, &device, 0);
+        let mut scratch = RouterScratch::new();
+        let initial = reverse_traversal_mapping(&entry.circuit, &device, 0, &mut scratch);
         let codar = CodarRouter::new(&device)
-            .route_with_mapping(&entry.circuit, initial.clone())
+            .route(&entry.circuit, Some(&initial), &mut scratch)
             .expect("fits");
         let sabre = SabreRouter::new(&device)
-            .route_with_mapping(&entry.circuit, initial)
+            .route(&entry.circuit, Some(&initial), &mut scratch)
             .expect("fits");
         codar_avg += ParallelismProfile::of(&codar.circuit, |g| tau.of(g)).average_busy;
         sabre_avg += ParallelismProfile::of(&sabre.circuit, |g| tau.of(g)).average_busy;
@@ -204,9 +207,10 @@ fn duration_awareness_pays_off() {
     let mut unaware = 0u64;
     for name in ["qft_10", "qft_12", "ising_10", "random_10", "ising_13"] {
         let entry = suite.iter().find(|e| e.name == name).expect("in suite");
-        let initial = reverse_traversal_mapping(&entry.circuit, &device, 0);
+        let mut scratch = RouterScratch::new();
+        let initial = reverse_traversal_mapping(&entry.circuit, &device, 0, &mut scratch);
         let a = CodarRouter::with_config(&device, CodarConfig::default())
-            .route_with_mapping(&entry.circuit, initial.clone())
+            .route(&entry.circuit, Some(&initial), &mut scratch)
             .expect("fits");
         let b = CodarRouter::with_config(
             &device,
@@ -215,7 +219,7 @@ fn duration_awareness_pays_off() {
                 ..CodarConfig::default()
             },
         )
-        .route_with_mapping(&entry.circuit, initial)
+        .route(&entry.circuit, Some(&initial), &mut scratch)
         .expect("fits");
         full += a.weighted_depth;
         unaware += b.weighted_depth;

@@ -7,7 +7,7 @@ use codar_repro::circuit::decompose::decompose_three_qubit_gates;
 use codar_repro::circuit::from_qasm::{circuit_from_source, circuit_to_qasm};
 use codar_repro::router::sabre::reverse_traversal_mapping;
 use codar_repro::router::verify::{check_coupling, check_equivalence};
-use codar_repro::router::{CodarRouter, SabreRouter};
+use codar_repro::router::{CodarRouter, RouterScratch, SabreRouter};
 
 #[test]
 fn every_corpus_program_routes_on_every_architecture() {
@@ -18,12 +18,13 @@ fn every_corpus_program_routes_on_every_architecture() {
             if routable.num_qubits() > device.num_qubits() {
                 continue;
             }
-            let initial = reverse_traversal_mapping(&routable, &device, 0);
+            let mut scratch = RouterScratch::new();
+            let initial = reverse_traversal_mapping(&routable, &device, 0, &mut scratch);
             let codar = CodarRouter::new(&device)
-                .route_with_mapping(&routable, initial.clone())
+                .route(&routable, Some(&initial), &mut scratch)
                 .unwrap_or_else(|e| panic!("codar {name} on {}: {e}", device.name()));
             let sabre = SabreRouter::new(&device)
-                .route_with_mapping(&routable, initial)
+                .route(&routable, Some(&initial), &mut scratch)
                 .unwrap_or_else(|e| panic!("sabre {name} on {}: {e}", device.name()));
             for routed in [&codar, &sabre] {
                 check_coupling(&routed.circuit, &device)
@@ -39,7 +40,9 @@ fn every_corpus_program_routes_on_every_architecture() {
 fn routed_circuit_survives_qasm_round_trip() {
     let circuit = corpus::load(corpus::QFT4_QASM).expect("embedded source parses");
     let device = Device::ibm_q20_tokyo();
-    let routed = CodarRouter::new(&device).route(&circuit).expect("fits");
+    let routed = CodarRouter::new(&device)
+        .route(&circuit, None, &mut RouterScratch::new())
+        .expect("fits");
     let qasm = circuit_to_qasm(&routed.circuit).expect("emittable");
     let reparsed = circuit_from_source(&qasm).expect("round trip parses");
     assert_eq!(reparsed.gates(), routed.circuit.gates());
@@ -59,12 +62,13 @@ fn suite_subset_full_pipeline() {
             .iter()
             .find(|e| e.name == name)
             .unwrap_or_else(|| panic!("{name} in suite"));
-        let initial = reverse_traversal_mapping(&entry.circuit, &device, 1);
+        let mut scratch = RouterScratch::new();
+        let initial = reverse_traversal_mapping(&entry.circuit, &device, 1, &mut scratch);
         let codar = CodarRouter::new(&device)
-            .route_with_mapping(&entry.circuit, initial.clone())
+            .route(&entry.circuit, Some(&initial), &mut scratch)
             .expect("fits");
         let sabre = SabreRouter::new(&device)
-            .route_with_mapping(&entry.circuit, initial)
+            .route(&entry.circuit, Some(&initial), &mut scratch)
             .expect("fits");
         for routed in [&codar, &sabre] {
             check_coupling(&routed.circuit, &device).expect("coupling");

@@ -4,7 +4,7 @@
 use codar_repro::arch::{CouplingGraph, Device, DistanceMatrix};
 use codar_repro::circuit::{Circuit, GateKind};
 use codar_repro::router::verify::{check_coupling, check_equivalence};
-use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, SabreRouter};
+use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, RouterScratch, SabreRouter};
 use proptest::prelude::*;
 
 /// Strategy: a random circuit over `n` qubits with 1q, 2q and barrier
@@ -69,7 +69,7 @@ proptest! {
             ..CodarConfig::default()
         };
         let routed = CodarRouter::with_config(&device, config)
-            .route(&circuit)
+            .route(&circuit, None, &mut RouterScratch::new())
             .expect("5 qubits fit a 6-qubit grid");
         check_coupling(&routed.circuit, &device).expect("coupling respected");
         check_equivalence(&circuit, &routed).expect("semantics preserved");
@@ -89,7 +89,7 @@ proptest! {
     fn sabre_output_is_always_valid(circuit in random_circuit(5, 40)) {
         let device = Device::grid(2, 3);
         let routed = SabreRouter::new(&device)
-            .route(&circuit)
+            .route(&circuit, None, &mut RouterScratch::new())
             .expect("5 qubits fit a 6-qubit grid");
         check_coupling(&routed.circuit, &device).expect("coupling respected");
         check_equivalence(&circuit, &routed).expect("semantics preserved");
@@ -106,7 +106,7 @@ proptest! {
             ..CodarConfig::default()
         };
         let routed = CodarRouter::with_config(&device, config)
-            .route(&circuit)
+            .route(&circuit, None, &mut RouterScratch::new())
             .expect("connected topology always routes");
         check_coupling(&routed.circuit, &device).expect("coupling respected");
         check_equivalence(&circuit, &routed).expect("semantics preserved");
@@ -137,7 +137,7 @@ proptest! {
             ..CodarConfig::default()
         };
         let routed = CodarRouter::with_config(&device, config)
-            .route(&circuit)
+            .route(&circuit, None, &mut RouterScratch::new())
             .expect("fits");
         let lower = codar_repro::circuit::schedule::busy_time_lower_bound(
             &circuit,

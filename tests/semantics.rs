@@ -5,7 +5,7 @@
 use codar_repro::arch::Device;
 use codar_repro::circuit::{Circuit, GateKind};
 use codar_repro::router::verify::reconstruct_logical;
-use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, SabreRouter};
+use codar_repro::router::{CodarConfig, CodarRouter, InitialMapping, RouterScratch, SabreRouter};
 use codar_repro::sim::exec::run_ideal;
 use codar_repro::sim::StateVector;
 use rand::rngs::StdRng;
@@ -80,7 +80,7 @@ fn codar_preserves_unitaries_on_line() {
             ..CodarConfig::default()
         };
         let routed = CodarRouter::with_config(&device, config)
-            .route(&circuit)
+            .route(&circuit, None, &mut RouterScratch::new())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let reconstructed = reconstruct_logical(
             &routed.circuit,
@@ -98,7 +98,7 @@ fn codar_preserves_unitaries_on_grid_with_spare_qubits() {
     let device = Device::grid(3, 3);
     for (name, circuit) in interesting_circuits() {
         let routed = CodarRouter::new(&device)
-            .route(&circuit)
+            .route(&circuit, None, &mut RouterScratch::new())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let reconstructed = reconstruct_logical(
             &routed.circuit,
@@ -116,7 +116,7 @@ fn sabre_preserves_unitaries() {
     let device = Device::grid(2, 3);
     for (name, circuit) in interesting_circuits() {
         let routed = SabreRouter::new(&device)
-            .route(&circuit)
+            .route(&circuit, None, &mut RouterScratch::new())
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let reconstructed = reconstruct_logical(
             &routed.circuit,
@@ -160,7 +160,7 @@ fn ablated_codar_variants_preserve_unitaries() {
         ),
     ] {
         let routed = CodarRouter::with_config(&device, config)
-            .route(&circuit)
+            .route(&circuit, None, &mut RouterScratch::new())
             .unwrap_or_else(|e| panic!("{flag}: {e}"));
         let reconstructed = reconstruct_logical(
             &routed.circuit,
@@ -185,7 +185,7 @@ fn toffoli_decomposition_survives_routing() {
         ..CodarConfig::default()
     };
     let routed = CodarRouter::with_config(&device, config)
-        .route(&decomposed)
+        .route(&decomposed, None, &mut RouterScratch::new())
         .expect("fits");
     let reconstructed = reconstruct_logical(
         &routed.circuit,
