@@ -9,9 +9,10 @@
 //!   a flat sequence of primitive operations ([`semantic::FlatProgram`]),
 //! * [`writer`] — pretty-printing of programs back to OpenQASM source.
 //!
-//! The standard `qelib1.inc` gate library ships embedded (see
-//! [`semantic::QELIB1`]) so programs that `include "qelib1.inc";` parse
-//! without any filesystem access.
+//! Programs that `include "qelib1.inc";` need no filesystem access:
+//! every gate of the standard library (see [`semantic::QELIB1`]) is a
+//! [`PrimitiveGate`] with the same qubit and parameter counts, so the
+//! include is accepted without lowering the library text.
 //!
 //! # Examples
 //!

@@ -23,11 +23,15 @@ use crate::ast::{Argument, Expr, GateBodyStmt, GateCall, GateDef, Program, State
 use crate::error::{QasmError, QasmErrorKind};
 use std::collections::HashMap;
 
-/// The standard `qelib1.inc` gate library, embedded so that programs can
-/// `include "qelib1.inc";` without filesystem access.
+/// The standard `qelib1.inc` gate library, as distributed with the
+/// OpenQASM 2.0 paper: every gate is ultimately defined in terms of the
+/// builtins `U` and `CX`.
 ///
-/// This is the canonical library distributed with the OpenQASM 2.0 paper:
-/// every gate is ultimately defined in terms of the builtins `U` and `CX`.
+/// Every gate it defines is a [`PrimitiveGate`] with the same qubit and
+/// parameter counts, and the lowering stops at primitives before it
+/// looks up any definition. So `include "qelib1.inc";` is accepted
+/// without lowering this text: its definitions could never be read.
+/// The text is kept as the reference the tests check that claim against.
 pub const QELIB1: &str = r#"
 // Quantum Experience (QE) Standard Header
 gate u3(theta,phi,lambda) q { U(theta,phi,lambda) q; }
@@ -90,8 +94,9 @@ gate rzz(theta) a,b { cx a,b; u1(theta) b; cx a,b; }
 
 /// The primitive gate set the lowering stops at.
 ///
-/// These are the gates of `qelib1.inc` plus the OpenQASM builtins. The
-/// circuit IR (crate `codar-circuit`) understands exactly this set.
+/// These are the gates of `qelib1.inc` plus the OpenQASM builtins and
+/// the ion-trap gates `r` and `rxx`. The circuit IR (crate
+/// `codar-circuit`) understands exactly this set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PrimitiveGate {
     /// Builtin single-qubit unitary `U(theta, phi, lambda)`.
@@ -334,55 +339,49 @@ pub struct FlatProgram {
     pub ops: Vec<FlatOp>,
 }
 
-struct RegisterTable {
+/// Declared registers, keyed by names borrowed from the program.
+struct RegisterTable<'a> {
     // name -> (global offset, size)
-    qregs: HashMap<String, (usize, usize)>,
-    cregs: HashMap<String, (usize, usize)>,
+    qregs: HashMap<&'a str, (usize, usize)>,
+    cregs: HashMap<&'a str, (usize, usize)>,
 }
 
-impl RegisterTable {
-    fn qubit(&self, arg: &Argument) -> Result<usize, QasmError> {
-        let (offset, size) = self.qregs.get(&arg.register).ok_or_else(|| {
-            QasmError::new(
-                QasmErrorKind::Semantic,
-                format!("undeclared quantum register `{}`", arg.register),
-            )
-        })?;
-        let idx = arg.index.ok_or_else(|| {
-            QasmError::new(
-                QasmErrorKind::Semantic,
-                format!("expected indexed reference for `{}`", arg.register),
-            )
-        })? as usize;
-        if idx >= *size {
-            return Err(QasmError::new(
-                QasmErrorKind::Semantic,
-                format!("index {idx} out of range for `{}[{size}]`", arg.register),
-            ));
-        }
-        Ok(offset + idx)
+/// Resolves `register[index]` against one register table; `kind` names
+/// the register kind in error messages.
+fn resolve(
+    table: &HashMap<&str, (usize, usize)>,
+    kind: &str,
+    register: &str,
+    index: Option<u64>,
+) -> Result<usize, QasmError> {
+    let (offset, size) = table.get(register).ok_or_else(|| {
+        QasmError::new(
+            QasmErrorKind::Semantic,
+            format!("undeclared {kind} register `{register}`"),
+        )
+    })?;
+    let idx = index.ok_or_else(|| {
+        QasmError::new(
+            QasmErrorKind::Semantic,
+            format!("expected indexed reference for `{register}`"),
+        )
+    })? as usize;
+    if idx >= *size {
+        return Err(QasmError::new(
+            QasmErrorKind::Semantic,
+            format!("index {idx} out of range for `{register}[{size}]`"),
+        ));
+    }
+    Ok(offset + idx)
+}
+
+impl RegisterTable<'_> {
+    fn qubit(&self, register: &str, index: Option<u64>) -> Result<usize, QasmError> {
+        resolve(&self.qregs, "quantum", register, index)
     }
 
-    fn bit(&self, arg: &Argument) -> Result<usize, QasmError> {
-        let (offset, size) = self.cregs.get(&arg.register).ok_or_else(|| {
-            QasmError::new(
-                QasmErrorKind::Semantic,
-                format!("undeclared classical register `{}`", arg.register),
-            )
-        })?;
-        let idx = arg.index.ok_or_else(|| {
-            QasmError::new(
-                QasmErrorKind::Semantic,
-                format!("expected indexed reference for `{}`", arg.register),
-            )
-        })? as usize;
-        if idx >= *size {
-            return Err(QasmError::new(
-                QasmErrorKind::Semantic,
-                format!("index {idx} out of range for `{}[{size}]`", arg.register),
-            ));
-        }
-        Ok(offset + idx)
+    fn bit(&self, register: &str, index: Option<u64>) -> Result<usize, QasmError> {
+        resolve(&self.cregs, "classical", register, index)
     }
 
     fn qreg_size(&self, name: &str) -> Option<usize> {
@@ -394,10 +393,13 @@ impl RegisterTable {
     }
 }
 
-struct Lowering {
-    regs: RegisterTable,
-    gatedefs: HashMap<String, GateDef>,
-    opaques: HashMap<String, (usize, usize)>, // name -> (#params, #qargs)
+/// Lowering state. Every table borrows its names and gate definitions
+/// from the program being lowered, so expanding a composite gate copies
+/// nothing of its body.
+struct Lowering<'a> {
+    regs: RegisterTable<'a>,
+    gatedefs: HashMap<&'a str, &'a GateDef>,
+    opaques: HashMap<&'a str, (usize, usize)>, // name -> (#params, #qargs)
     flat: FlatProgram,
 }
 
@@ -410,12 +412,12 @@ const MAX_EXPANSION_DEPTH: usize = 64;
 ///
 /// Returns a semantic [`QasmError`] if the expression references an
 /// unbound parameter name.
-pub fn eval_expr(expr: &Expr, env: &HashMap<String, f64>) -> Result<f64, QasmError> {
+pub fn eval_expr(expr: &Expr, env: &HashMap<&str, f64>) -> Result<f64, QasmError> {
     Ok(match expr {
         Expr::Real(x) => *x,
         Expr::Int(x) => *x as f64,
         Expr::Pi => std::f64::consts::PI,
-        Expr::Param(name) => *env.get(name).ok_or_else(|| {
+        Expr::Param(name) => *env.get(name.as_str()).ok_or_else(|| {
             QasmError::new(
                 QasmErrorKind::Semantic,
                 format!("unbound parameter `{name}` in expression"),
@@ -437,7 +439,7 @@ pub fn eval_expr(expr: &Expr, env: &HashMap<String, f64>) -> Result<f64, QasmErr
     })
 }
 
-impl Lowering {
+impl<'a> Lowering<'a> {
     fn new() -> Self {
         Lowering {
             regs: RegisterTable {
@@ -450,17 +452,7 @@ impl Lowering {
         }
     }
 
-    fn register_library(&mut self) -> Result<(), QasmError> {
-        let lib = crate::parse(QELIB1)?;
-        for stmt in lib.statements {
-            if let Statement::GateDef(def) = stmt {
-                self.gatedefs.insert(def.name.clone(), def);
-            }
-        }
-        Ok(())
-    }
-
-    fn run(mut self, program: &Program) -> Result<FlatProgram, QasmError> {
+    fn run(mut self, program: &'a Program) -> Result<FlatProgram, QasmError> {
         for stmt in &program.statements {
             self.lower_statement(stmt, None)?;
         }
@@ -469,15 +461,17 @@ impl Lowering {
 
     fn lower_statement(
         &mut self,
-        stmt: &Statement,
+        stmt: &'a Statement,
         conditional: Option<&(String, u64)>,
     ) -> Result<(), QasmError> {
         match stmt {
             Statement::Include(file) => {
-                // qelib1.inc is embedded; other includes are unsupported
-                // because the frontend is filesystem-free.
+                // qelib1.inc's gates are all primitives, which lowering
+                // resolves before any definition (see `QELIB1`), so the
+                // include has nothing to register. Other includes are
+                // unsupported because the frontend is filesystem-free.
                 if file == "qelib1.inc" {
-                    self.register_library()
+                    Ok(())
                 } else {
                     Err(QasmError::new(
                         QasmErrorKind::Semantic,
@@ -486,37 +480,33 @@ impl Lowering {
                 }
             }
             Statement::QReg { name, size } => {
-                if self.regs.qregs.contains_key(name) {
+                if self.regs.qregs.contains_key(name.as_str()) {
                     return Err(QasmError::new(
                         QasmErrorKind::Semantic,
                         format!("duplicate quantum register `{name}`"),
                     ));
                 }
                 let offset = self.flat.num_qubits;
-                self.regs
-                    .qregs
-                    .insert(name.clone(), (offset, *size as usize));
+                self.regs.qregs.insert(name, (offset, *size as usize));
                 self.flat.num_qubits += *size as usize;
                 self.flat.qregs.push((name.clone(), *size as usize));
                 Ok(())
             }
             Statement::CReg { name, size } => {
-                if self.regs.cregs.contains_key(name) {
+                if self.regs.cregs.contains_key(name.as_str()) {
                     return Err(QasmError::new(
                         QasmErrorKind::Semantic,
                         format!("duplicate classical register `{name}`"),
                     ));
                 }
                 let offset = self.flat.num_bits;
-                self.regs
-                    .cregs
-                    .insert(name.clone(), (offset, *size as usize));
+                self.regs.cregs.insert(name, (offset, *size as usize));
                 self.flat.num_bits += *size as usize;
                 self.flat.cregs.push((name.clone(), *size as usize));
                 Ok(())
             }
             Statement::GateDef(def) => {
-                self.gatedefs.insert(def.name.clone(), def.clone());
+                self.gatedefs.insert(&def.name, def);
                 Ok(())
             }
             Statement::Opaque {
@@ -524,8 +514,7 @@ impl Lowering {
                 params,
                 qargs,
             } => {
-                self.opaques
-                    .insert(name.clone(), (params.len(), qargs.len()));
+                self.opaques.insert(name, (params.len(), qargs.len()));
                 Ok(())
             }
             Statement::GateCall(call) => self.lower_call_broadcast(call, conditional),
@@ -558,18 +547,21 @@ impl Lowering {
 
     /// Expands an argument into all the global qubit indices it denotes
     /// (one for indexed refs, the whole register otherwise).
-    fn broadcast_qubits(&self, arg: &Argument) -> Result<Vec<usize>, QasmError> {
+    fn broadcast_qubits(&self, arg: &Argument) -> Result<std::ops::Range<usize>, QasmError> {
         match arg.index {
-            Some(_) => Ok(vec![self.regs.qubit(arg)?]),
+            Some(_) => {
+                let q = self.regs.qubit(&arg.register, arg.index)?;
+                Ok(q..q + 1)
+            }
             None => {
-                let size = self.regs.qreg_size(&arg.register).ok_or_else(|| {
-                    QasmError::new(
-                        QasmErrorKind::Semantic,
-                        format!("undeclared quantum register `{}`", arg.register),
-                    )
-                })?;
-                let (offset, _) = self.regs.qregs[&arg.register];
-                Ok((offset..offset + size).collect())
+                let &(offset, size) =
+                    self.regs.qregs.get(arg.register.as_str()).ok_or_else(|| {
+                        QasmError::new(
+                            QasmErrorKind::Semantic,
+                            format!("undeclared quantum register `{}`", arg.register),
+                        )
+                    })?;
+                Ok(offset..offset + size)
             }
         }
     }
@@ -577,8 +569,8 @@ impl Lowering {
     fn lower_measure(&mut self, src: &Argument, dst: &Argument) -> Result<(), QasmError> {
         match (src.index, dst.index) {
             (Some(_), Some(_)) => {
-                let qubit = self.regs.qubit(src)?;
-                let bit = self.regs.bit(dst)?;
+                let qubit = self.regs.qubit(&src.register, src.index)?;
+                let bit = self.regs.bit(&dst.register, dst.index)?;
                 self.flat.ops.push(FlatOp::Measure { qubit, bit });
                 Ok(())
             }
@@ -604,13 +596,9 @@ impl Lowering {
                         ),
                     ));
                 }
-                for i in 0..qsize {
-                    let qubit = self
-                        .regs
-                        .qubit(&Argument::indexed(&*src.register, i as u64))?;
-                    let bit = self
-                        .regs
-                        .bit(&Argument::indexed(&*dst.register, i as u64))?;
+                for i in 0..qsize as u64 {
+                    let qubit = self.regs.qubit(&src.register, Some(i))?;
+                    let bit = self.regs.bit(&dst.register, Some(i))?;
                     self.flat.ops.push(FlatOp::Measure { qubit, bit });
                 }
                 Ok(())
@@ -656,18 +644,11 @@ impl Lowering {
             .map(|e| eval_expr(e, &HashMap::new()))
             .collect::<Result<_, _>>()?;
         let repeats = width.unwrap_or(1);
-        for i in 0..repeats {
+        for i in 0..repeats as u64 {
             let qubits: Vec<usize> = call
                 .args
                 .iter()
-                .map(|arg| {
-                    if arg.index.is_some() {
-                        self.regs.qubit(arg)
-                    } else {
-                        self.regs
-                            .qubit(&Argument::indexed(&*arg.register, i as u64))
-                    }
-                })
+                .map(|arg| self.regs.qubit(&arg.register, arg.index.or(Some(i))))
                 .collect::<Result<_, _>>()?;
             self.emit_call(&call.name, &params, &qubits, conditional, 0)?;
         }
@@ -746,7 +727,7 @@ impl Lowering {
                 ),
             ));
         }
-        let Some(def) = self.gatedefs.get(name).cloned() else {
+        let Some(def) = self.gatedefs.get(name).copied() else {
             return Err(QasmError::new(
                 QasmErrorKind::Semantic,
                 format!("unknown gate `{name}`"),
@@ -772,10 +753,10 @@ impl Lowering {
                 ),
             ));
         }
-        let param_env: HashMap<String, f64> = def
+        let param_env: HashMap<&str, f64> = def
             .params
             .iter()
-            .cloned()
+            .map(|s| s.as_str())
             .zip(params.iter().copied())
             .collect();
         let qubit_env: HashMap<&str, usize> = def
@@ -847,10 +828,10 @@ impl Lowering {
 
 /// Lowers a parsed program to a [`FlatProgram`].
 ///
-/// The `qelib1.inc` standard library is honoured when included; all
-/// `qelib1` gate names are kept as primitives (not expanded to `U`/`CX`),
-/// which preserves gate identities for duration assignment and
-/// commutativity analysis downstream.
+/// `include "qelib1.inc";` is accepted and lowers nothing: all `qelib1`
+/// gate names are primitives (not expanded to `U`/`CX`), which preserves
+/// gate identities for duration assignment and commutativity analysis
+/// downstream.
 ///
 /// # Errors
 ///
@@ -1120,6 +1101,33 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// The include arm lowers nothing for `qelib1.inc` because every
+    /// library gate resolves as a primitive of the same shape before any
+    /// definition is looked up. A non-primitive gate added to `QELIB1`
+    /// fails here instead of silently lowering differently.
+    #[test]
+    fn every_qelib1_gate_is_a_primitive_of_the_same_shape() {
+        let lib = crate::parse(QELIB1).unwrap();
+        let mut defs = 0;
+        for stmt in &lib.statements {
+            let Statement::GateDef(def) = stmt else {
+                panic!("qelib1 holds only gate definitions, found {stmt:?}");
+            };
+            defs += 1;
+            let gate = PrimitiveGate::from_name(&def.name)
+                .unwrap_or_else(|| panic!("qelib1 gate `{}` is not a primitive", def.name));
+            assert_eq!(gate.num_qubits(), def.qargs.len(), "{}", def.name);
+            // `u0(gamma)` lowers to Id, whose parameter is dropped under
+            // emit_call's Id tolerance.
+            if def.name == "u0" {
+                assert_eq!((gate, def.params.len()), (PrimitiveGate::Id, 1));
+            } else {
+                assert_eq!(gate.num_params(), def.params.len(), "{}", def.name);
+            }
+        }
+        assert_eq!(defs, 27);
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Property-based tests for the OpenQASM frontend.
 
+mod common;
+
 use codar_qasm::{lexer, parse, parse_and_flatten};
+use common::{op_sequence_source, padded_pair, parenthesized_pair, registers_source};
 use proptest::prelude::*;
 
 proptest! {
@@ -21,11 +24,7 @@ proptest! {
     /// Lexing is insensitive to inserted whitespace between tokens.
     #[test]
     fn whitespace_insensitivity(pad in "[ \t\n]{0,4}") {
-        let header = "OPENQASM 2.0;include \"qelib1.inc\";";
-        let tight = format!("{header}qreg q[3];creg c[3];h q[0];cx q[0],q[1];");
-        let padded = format!(
-            "{header}{pad}qreg q[3];{pad}creg c[3];{pad}h{pad} q[0];{pad}cx q[0],{pad}q[1];"
-        );
+        let (tight, padded) = padded_pair(&pad);
         let a = parse_and_flatten(&tight);
         let b = parse_and_flatten(&padded);
         prop_assert_eq!(a.unwrap().ops, b.unwrap().ops);
@@ -34,11 +33,7 @@ proptest! {
     /// Generated register declarations always round-trip.
     #[test]
     fn register_sizes_round_trip(sizes in proptest::collection::vec(1u64..30, 1..5)) {
-        let mut src = String::from("OPENQASM 2.0;\n");
-        for (i, s) in sizes.iter().enumerate() {
-            src.push_str(&format!("qreg r{i}[{s}];\n"));
-        }
-        let flat = parse_and_flatten(&src).expect("valid declarations");
+        let flat = parse_and_flatten(&registers_source(&sizes)).expect("valid declarations");
         prop_assert_eq!(flat.num_qubits as u64, sizes.iter().sum::<u64>());
     }
 
@@ -46,12 +41,9 @@ proptest! {
     /// parenthesized.
     #[test]
     fn expression_parenthesization(a in -5.0f64..5.0, b in -5.0f64..5.0, c in 0.1f64..5.0) {
-        let flat1 = parse_and_flatten(&format!(
-            "include \"qelib1.inc\"; qreg q[1]; rz({a} + {b} / {c}) q[0];"
-        )).expect("parses");
-        let flat2 = parse_and_flatten(&format!(
-            "include \"qelib1.inc\"; qreg q[1]; rz(({a}) + (({b}) / ({c}))) q[0];"
-        )).expect("parses");
+        let (minimal, full) = parenthesized_pair(a, b, c);
+        let flat1 = parse_and_flatten(&minimal).expect("parses");
+        let flat2 = parse_and_flatten(&full).expect("parses");
         let p1 = match &flat1.ops[0] {
             codar_qasm::FlatOp::Gate { params, .. } => params[0],
             other => panic!("unexpected {other:?}"),
@@ -68,18 +60,7 @@ proptest! {
     /// (writer/parser round trip over generated gate sequences).
     #[test]
     fn writer_round_trip(ops in proptest::collection::vec((0u8..6, 0usize..4, 0usize..4, -3.0f64..3.0), 1..30)) {
-        let mut src = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[4];\ncreg c[4];\n");
-        for (kind, a, b, angle) in ops {
-            let b = if a == b { (a + 1) % 4 } else { b };
-            match kind {
-                0 => src.push_str(&format!("h q[{a}];\n")),
-                1 => src.push_str(&format!("t q[{a}];\n")),
-                2 => src.push_str(&format!("rz({angle}) q[{a}];\n")),
-                3 => src.push_str(&format!("cx q[{a}], q[{b}];\n")),
-                4 => src.push_str(&format!("measure q[{a}] -> c[{a}];\n")),
-                _ => src.push_str(&format!("barrier q[{a}], q[{b}];\n")),
-            }
-        }
+        let src = op_sequence_source(&ops);
         let flat = parse_and_flatten(&src).expect("generated source is valid");
         let emitted = codar_qasm::writer::write(&flat);
         let reflat = parse_and_flatten(&emitted).expect("emitted source is valid");

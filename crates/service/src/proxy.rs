@@ -38,10 +38,8 @@ use crate::protocol::{
     attach_id, attach_trace, overloaded_body, shutdown_body, CalAction, Request,
     TRACE_REPLY_DEFAULT, TRACE_REPLY_MAX,
 };
-use crate::server::{SharedWriter, DEFAULT_CAL_ALPHA};
+use crate::server::{canonicalize, SharedWriter, DEFAULT_CAL_ALPHA};
 use crate::trace::{phase_sample, TraceCtx, TraceRecorder};
-use codar_circuit::decompose::decompose_three_qubit_gates;
-use codar_circuit::from_qasm::{circuit_from_flat, circuit_to_qasm};
 use codar_engine::RouterKind;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -166,8 +164,8 @@ struct NdConn {
 }
 
 /// The rendezvous placement key of one request line: route requests
-/// hash their *canonical* identity (parsed, ≤2-qubit-decomposed,
-/// re-serialized circuit + lowercased device + router + exact alpha
+/// hash their *canonical* identity (the circuit as the daemon's
+/// [`canonicalize`] writes it + lowercased device + router + exact alpha
 /// bits + sim backend — the request-dependent part of the backends'
 /// cache key), so formatting differences cannot split a circuit across
 /// shards. Unparseable circuits and non-route lines hash raw bytes —
@@ -182,10 +180,8 @@ pub fn shard_key(line: &str) -> u64 {
             qasm,
             ..
         }) => {
-            let canonical = codar_qasm::parse_and_flatten(&qasm)
-                .ok()
-                .map(|flat| decompose_three_qubit_gates(&circuit_from_flat(&flat)))
-                .and_then(|circuit| circuit_to_qasm(&circuit).ok())
+            let canonical = canonicalize(&qasm, |_| Ok(()))
+                .map(|(_, canonical)| canonical)
                 .unwrap_or(qasm);
             let alpha_text = if router == RouterKind::CodarCal {
                 format!("{:016x}", alpha.unwrap_or(DEFAULT_CAL_ALPHA).to_bits())

@@ -39,6 +39,7 @@ use crate::worker::{spawn_pool, RouteJob};
 use codar_arch::{CalibrationSnapshot, Device, FidelityModel};
 use codar_circuit::decompose::decompose_three_qubit_gates;
 use codar_circuit::from_qasm::{circuit_from_flat, circuit_to_qasm};
+use codar_circuit::Circuit;
 use codar_engine::{Backend, RouterKind, RouterVariant};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -446,12 +447,7 @@ impl Service {
         // whole block, recorded whether it succeeds or fails, so the
         // span *set* stays a pure function of the request.
         let canon_started = Instant::now();
-        let canonicalized = (|| {
-            let flat =
-                codar_qasm::parse_and_flatten(qasm).map_err(|e| format!("QASM error: {e}"))?;
-            // Router-ready form: ≤2-qubit gates only, same
-            // normalization as the benchmark suite.
-            let circuit = decompose_three_qubit_gates(&circuit_from_flat(&flat));
+        let canonicalized = canonicalize(qasm, |circuit| {
             if circuit.num_qubits() > device.num_qubits() {
                 return Err(format!(
                     "circuit uses {} qubits but {} has {}",
@@ -460,14 +456,8 @@ impl Service {
                     device.num_qubits()
                 ));
             }
-            // The cache key hashes the *canonical* circuit text
-            // (parsed, decomposed, re-serialized), so formatting
-            // differences in the submitted QASM cannot split cache
-            // entries.
-            let canonical = circuit_to_qasm(&circuit)
-                .map_err(|e| format!("cannot canonicalize circuit: {e}"))?;
-            Ok((circuit, canonical))
-        })();
+            Ok(())
+        });
         if let Some(ctx) = ctx.as_mut() {
             ctx.sample(
                 phase_sample("canonicalize", t0, canon_started, Instant::now()),
@@ -1101,6 +1091,30 @@ impl Service {
     }
 }
 
+/// The canonical form of a route request's circuit, shared by the
+/// daemon's cache key and the proxy's shard key: the QASM is parsed,
+/// decomposed to ≤2-qubit gates (the benchmark suite's normalization)
+/// and re-serialized, so formatting differences in the submitted text
+/// cannot split cache entries or shards. `fits` vets the router-ready
+/// circuit before it is written.
+///
+/// # Errors
+///
+/// `QASM error: …` when the text does not lower, `fits`'s own message,
+/// or `cannot canonicalize circuit: …` when the circuit cannot be
+/// written back.
+pub fn canonicalize(
+    qasm: &str,
+    fits: impl FnOnce(&Circuit) -> Result<(), String>,
+) -> Result<(Circuit, String), String> {
+    let flat = codar_qasm::parse_and_flatten(qasm).map_err(|e| format!("QASM error: {e}"))?;
+    let circuit = decompose_three_qubit_gates(&circuit_from_flat(&flat));
+    fits(&circuit)?;
+    let canonical =
+        circuit_to_qasm(&circuit).map_err(|e| format!("cannot canonicalize circuit: {e}"))?;
+    Ok((circuit, canonical))
+}
+
 /// The circuit class that keys portfolio (`auto`) win history:
 /// `q<qubits>g<bucket>` where the bucket is the log2 band of the gate
 /// count (`floor(log2(gates)) + 1`, 0 for an empty circuit). Coarse on
@@ -1121,7 +1135,7 @@ impl Service {
 /// assert_eq!(circuit_class(&c), "q4g2"); // 3 gates → band [2, 4)
 /// assert_eq!(circuit_class(&Circuit::new(2)), "q2g0");
 /// ```
-pub fn circuit_class(circuit: &codar_circuit::Circuit) -> String {
+pub fn circuit_class(circuit: &Circuit) -> String {
     let gates = circuit.len() as u64;
     let bucket = (u64::BITS - gates.leading_zeros()) as u64;
     format!("q{}g{bucket}", circuit.num_qubits())
@@ -1343,6 +1357,25 @@ mod tests {
         assert_eq!(a, b, "formatting must not split cache entries");
         let stats = service.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn canonicalize_vets_the_decomposed_circuit_before_writing_it() {
+        let src = "include \"qelib1.inc\"; qreg q[3]; ccx q[0], q[1], q[2];";
+        let (circuit, canonical) = canonicalize(src, |c| {
+            assert!(c.gates().iter().all(|g| g.qubits.len() <= 2));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(circuit_to_qasm(&circuit).unwrap(), canonical);
+        let (_, again) = canonicalize(&canonical, |_| Ok(())).unwrap();
+        assert_eq!(again, canonical, "canonical text is a fixed point");
+        assert_eq!(
+            canonicalize(src, |_| Err("too wide".to_string())).unwrap_err(),
+            "too wide"
+        );
+        let err = canonicalize("qreg q[1]; zz q[0];", |_| panic!("not lowered")).unwrap_err();
+        assert!(err.starts_with("QASM error: "), "{err}");
     }
 
     #[test]
