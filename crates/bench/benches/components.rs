@@ -22,8 +22,8 @@ fn bench_distance_matrix(c: &mut Criterion) {
 }
 
 fn bench_cf_computation(c: &mut Criterion) {
-    // Rebuild the tracker per iteration: `cf_gates` now caches the
-    // merged set, so a reused tracker would only measure the cache hit.
+    // Rebuild the tracker per iteration: the CF set is maintained
+    // incrementally, so a reused tracker would only measure a lookup.
     let circuit = generators::qft(16);
     c.bench_function("cf_set_qft16", |b| {
         b.iter(|| {

@@ -47,15 +47,102 @@ impl QubitAction {
     /// Whether two single-qubit action classes commute.
     ///
     /// Conservative: `Arbitrary` commutes with nothing but `Identity`.
-    pub fn commutes_with(self, other: QubitAction) -> bool {
+    pub const fn commutes_with(self, other: QubitAction) -> bool {
         use QubitAction::*;
-        match (self, other) {
-            (Identity, _) | (_, Identity) => true,
-            (ZDiagonal, ZDiagonal) => true,
-            (XAxis, XAxis) => true,
-            (YAxis, YAxis) => true,
-            _ => false,
+        matches!(
+            (self, other),
+            (Identity, _)
+                | (_, Identity)
+                | (ZDiagonal, ZDiagonal)
+                | (XAxis, XAxis)
+                | (YAxis, YAxis)
+        )
+    }
+}
+
+/// The action classes in discriminant order, so `ACTIONS[a as usize] == a`.
+const ACTIONS: [QubitAction; 5] = [
+    QubitAction::Identity,
+    QubitAction::ZDiagonal,
+    QubitAction::XAxis,
+    QubitAction::YAxis,
+    QubitAction::Arbitrary,
+];
+
+/// How a gate acts on one of its wires, up to commutation: one of the
+/// five [`QubitAction`]s, or [`WireClass::FENCE`] for a barrier, which
+/// conflicts with every class including `Identity`.
+///
+/// Two gates that are not identical unitaries commute iff their classes
+/// conflict on no shared wire (that is [`commutes`]). Identical gates
+/// have equal classes on every wire, so the identical-unitary exception
+/// only matters for a class that conflicts with itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WireClass(u8);
+
+impl WireClass {
+    /// A barrier's class: it conflicts with everything.
+    pub const FENCE: WireClass = WireClass(ACTIONS.len() as u8);
+    /// Number of distinct classes; [`WireClass::index`] is below it.
+    pub const COUNT: usize = ACTIONS.len() + 1;
+
+    /// `CONFLICTS[a]` has bit `b` set iff classes `a` and `b` conflict.
+    const CONFLICTS: [u8; WireClass::COUNT] = {
+        let mut table = [0u8; WireClass::COUNT];
+        let fence = 1 << ACTIONS.len();
+        let mut a = 0;
+        while a < ACTIONS.len() {
+            table[a] = fence;
+            let mut b = 0;
+            while b < ACTIONS.len() {
+                if !ACTIONS[a].commutes_with(ACTIONS[b]) {
+                    table[a] |= 1 << b;
+                }
+                b += 1;
+            }
+            a += 1;
         }
+        table[ACTIONS.len()] = (1 << WireClass::COUNT) - 1;
+        table
+    };
+
+    /// The class of `gate` on `qubit` (which must be an operand).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubit` is not an operand of `gate`.
+    pub fn of(gate: &Gate, qubit: QubitId) -> WireClass {
+        if gate.kind == GateKind::Barrier {
+            WireClass::FENCE
+        } else {
+            WireClass(action_on(gate, qubit) as u8)
+        }
+    }
+
+    /// A dense index in `0..WireClass::COUNT`.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// This class as a one-bit set, for masks over classes.
+    #[inline]
+    pub fn bit(self) -> u8 {
+        1 << self.0
+    }
+
+    /// The set (as a mask of [`WireClass::bit`]s) of classes this one
+    /// conflicts with.
+    #[inline]
+    pub fn conflict_mask(self) -> u8 {
+        WireClass::CONFLICTS[self.index()]
+    }
+
+    /// Whether two gates sharing a wire in these classes fail to commute
+    /// there (unless they are identical unitaries).
+    #[inline]
+    pub fn conflicts(self, other: WireClass) -> bool {
+        self.conflict_mask() & other.bit() != 0
     }
 }
 
@@ -141,17 +228,14 @@ pub fn action_on(gate: &Gate, qubit: QubitId) -> QubitAction {
 
 /// Decides whether two gates commute.
 ///
-/// * A [`GateKind::Barrier`] commutes with nothing that shares a qubit
-///   with it (it is a scheduling fence).
 /// * Gates on disjoint qubits always commute.
-/// * Otherwise, the gates commute iff their action classes commute on
-///   every shared qubit.
+/// * Identical unitary gates commute.
+/// * Otherwise, the gates commute iff their [`WireClass`]es conflict on
+///   no shared qubit; a [`GateKind::Barrier`] is a [`WireClass::FENCE`],
+///   so it commutes with nothing that shares a qubit with it.
 pub fn commutes(a: &Gate, b: &Gate) -> bool {
     if !a.overlaps(b) {
         return true;
-    }
-    if a.kind == GateKind::Barrier || b.kind == GateKind::Barrier {
-        return false;
     }
     // Identical unitary operations trivially commute (A·A = A·A); this
     // matters for e.g. back-to-back Hadamards, which the action classes
@@ -159,12 +243,9 @@ pub fn commutes(a: &Gate, b: &Gate) -> bool {
     if a.kind.is_unitary() && a == b {
         return true;
     }
-    for &q in &a.qubits {
-        if b.acts_on(q) && !action_on(a, q).commutes_with(action_on(b, q)) {
-            return false;
-        }
-    }
-    true
+    a.qubits
+        .iter()
+        .all(|&q| !b.acts_on(q) || !WireClass::of(a, q).conflicts(WireClass::of(b, q)))
 }
 
 #[cfg(test)]
@@ -317,6 +398,29 @@ mod tests {
         // measurement is non-unitary: stay conservative.
         let m = Gate::measure(0, 0);
         assert!(!commutes(&m, &m));
+    }
+
+    #[test]
+    fn class_indices_follow_action_discriminants() {
+        for (i, &action) in ACTIONS.iter().enumerate() {
+            assert_eq!(action as usize, i);
+        }
+    }
+
+    #[test]
+    fn wire_class_conflicts_match_actions_and_fence() {
+        let classes: Vec<WireClass> = (0..WireClass::COUNT as u8).map(WireClass).collect();
+        for &a in &classes {
+            for &b in &classes {
+                let expected = a == WireClass::FENCE
+                    || b == WireClass::FENCE
+                    || !ACTIONS[a.index()].commutes_with(ACTIONS[b.index()]);
+                assert_eq!(a.conflicts(b), expected, "{a:?} vs {b:?}");
+            }
+        }
+        let barrier = Gate::barrier(vec![0, 1]);
+        assert_eq!(WireClass::of(&barrier, 1), WireClass::FENCE);
+        assert!(WireClass::FENCE.conflicts(WireClass::of(&g1(GateKind::Id, 0), 0)));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod schedule;
 pub mod stats;
 
 pub use circuit::Circuit;
-pub use commute::{commutes, QubitAction};
+pub use commute::{commutes, QubitAction, WireClass};
 pub use dag::CircuitDag;
 pub use gate::{Gate, GateKind, QubitId};
 pub use schedule::{weighted_depth, Schedule};

@@ -1,10 +1,11 @@
 //! Router hot-path benchmarks at the `codar-router` level: scratch
-//! reuse vs fresh allocation, the cached CF front, the incremental
+//! reuse vs fresh allocation, the incremental CF front, the incremental
 //! SWAP scorer, and route verification. Run with
 //! `cargo bench -p codar-router`.
 
 use codar_arch::Device;
 use codar_benchmarks::{full_suite, generators};
+use codar_circuit::Circuit;
 use codar_router::front::{CommutativeFront, DEFAULT_WINDOW};
 use codar_router::heuristic::{priority, SwapScorer};
 use codar_router::verify::{check_coupling, check_equivalence};
@@ -66,10 +67,35 @@ fn bench_scratch_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cached CF front: steady-state queries (cache hits between
-/// emissions) vs a full rebuild per query.
+/// Emits every gate of `circuit` the way CODAR's launch loop does: the
+/// whole CF set once, then only the gates that each round made CF.
+fn drain_front(circuit: &Circuit) -> usize {
+    let mut front = CommutativeFront::new(circuit, true, DEFAULT_WINDOW);
+    let mut cf = Vec::new();
+    let mut emitted = 0;
+    front.snapshot(circuit, &mut cf);
+    while !cf.is_empty() {
+        for &g in &cf {
+            front.emit(g, circuit);
+        }
+        emitted += cf.len();
+        front.take_joined(circuit, &mut cf);
+    }
+    emitted
+}
+
+/// The incremental CF front: steady-state queries (nothing to refresh
+/// between emissions), building the initial set, and draining a whole
+/// circuit, on random Clifford+T and on a diagonal run far longer than
+/// the window (every gate commutes, so every window stays full).
 fn bench_cf_cache(c: &mut Criterion) {
     let circuit = generators::random_clifford_t(20, 1000, 3);
+    let mut diagonal = Circuit::new(8);
+    for i in 0..1000 {
+        let q = i % 8;
+        diagonal.rz(0.001 * i as f64, q);
+        diagonal.cz(q, (q + 1) % 8);
+    }
     c.bench_function("cf_cached_query", |b| {
         let mut front = CommutativeFront::new(&circuit, true, DEFAULT_WINDOW);
         front.cf_gates(&circuit); // warm the cache
@@ -80,6 +106,12 @@ fn bench_cf_cache(c: &mut Criterion) {
             let mut front = CommutativeFront::new(&circuit, true, DEFAULT_WINDOW);
             black_box(front.cf_gates(&circuit).len())
         });
+    });
+    c.bench_function("cf_drain_random20x1000", |b| {
+        b.iter(|| black_box(drain_front(&circuit)));
+    });
+    c.bench_function("cf_drain_diagonal_run8x2000", |b| {
+        b.iter(|| black_box(drain_front(&diagonal)));
     });
 }
 

@@ -10,48 +10,88 @@
 //!
 //! Implementation: pending gates are kept in per-qubit queues in program
 //! order. A gate commutes trivially with anything it shares no qubit
-//! with, so it is CF iff, in each of its queues, it commutes with every
-//! earlier entry. A scan window bounds the per-queue lookahead so the
-//! check stays O(window²) per queue.
+//! with, so it is CF iff, in each of its queues, it sits within a scan
+//! window and commutes with every earlier entry.
+//!
+//! Each queue entry carries the gate's [`WireClass`] on that queue's
+//! wire, computed once in [`CommutativeFront::new`]. A queue only tests
+//! classes on its own wire: a conflict on another shared wire `r` is
+//! caught in queue `r`, where the earlier gate sits inside the window
+//! whenever the later one does. So an entry is *locally CF* iff its
+//! class conflicts with no earlier class in the window, except with an
+//! identical unitary twin (which has the same class, so only a class
+//! that conflicts with itself needs the exact fallback scan).
+//!
+//! Emission only removes entries, and removing an entry can only make
+//! later entries locally CF (they move up and have fewer predecessors).
+//! So local CF-ness and the merged CF set are maintained incrementally:
+//! an emission marks its queues dirty, and a refresh walks the window
+//! once, O(window), with a running mask of the classes seen, promoting
+//! the entries that became locally CF. A gate joins the CF set when all
+//! of its queues expose it, and the set stays sorted in program order.
 
-use codar_circuit::{commutes, Circuit};
-use std::collections::VecDeque;
+use codar_circuit::{Circuit, WireClass};
 
 /// Default per-qubit lookahead window for the CF scan.
 pub const DEFAULT_WINDOW: usize = 16;
 
-/// Tracks the pending portion of a circuit and computes its CF set.
+/// Deterministic work counters of a [`CommutativeFront`]. They depend
+/// only on the circuit, the configuration and the emission order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrontCounters {
+    /// Queue positions visited by refreshes.
+    pub positions: u64,
+    /// Exact identical-twin scans (a position whose only conflict is
+    /// with its own class, on a unitary gate).
+    pub twin_fallbacks: u64,
+    /// Insertions into and removals from the merged CF set.
+    pub cf_updates: u64,
+}
+
+impl std::ops::AddAssign for FrontCounters {
+    fn add_assign(&mut self, other: FrontCounters) {
+        self.positions += other.positions;
+        self.twin_fallbacks += other.twin_fallbacks;
+        self.cf_updates += other.cf_updates;
+    }
+}
+
+/// Tracks the pending portion of a circuit and maintains its CF set.
 ///
-/// The per-queue locally-CF scan is cached and invalidated only when a
-/// gate is emitted from that queue, and the merged CF set itself is
-/// cached between emissions, so the common case (repeated CF queries
-/// between emissions) returns a slice without recomputing — or
-/// allocating — anything. All buffers (per-queue caches, the qualify
-/// counters, the merged set) are reused across recomputations, so a
-/// routing loop in steady state allocates nothing here.
+/// Emissions mark the touched queues dirty; the next query refreshes
+/// just those, so repeated queries between emissions cost nothing.
+/// [`CommutativeFront::take_joined`] reports which gates a refresh added,
+/// so a caller that already examined the rest of the set can skip it.
 #[derive(Debug, Clone)]
 pub struct CommutativeFront {
-    queues: Vec<VecDeque<usize>>,
+    // Queue q is entries[head[q]..end[q]]: its pending gates, in program
+    // order. Removal shifts the entries before the removed one up by one.
+    entries: Vec<Entry>,
+    head: Vec<usize>,
+    end: Vec<usize>,
     pending: Vec<bool>,
     num_pending: usize,
     window: usize,
     commutativity: bool,
-    // cache[q] = locally-CF gate indices of queue q, stale when dirty.
-    cache: Vec<QueueCache>,
-    // How many of a gate's queues qualify it; zeroed outside cf_gates.
+    // How many of a gate's queues expose it as locally CF.
     qualify: Vec<u32>,
-    // The merged CF set, valid while `cf_valid`.
+    // Queues whose window changed since their last refresh.
+    dirty: Vec<usize>,
+    is_dirty: Vec<bool>,
+    // The CF set, sorted in program order.
     cf: Vec<usize>,
-    cf_valid: bool,
-    // Pending gates with no qubit operands (always CF).
-    zero_qubit: Vec<usize>,
+    // Gates that joined `cf` since the last snapshot or take.
+    joined: Vec<usize>,
+    counters: FrontCounters,
 }
 
-/// Reusable per-queue locally-CF cache entry.
-#[derive(Debug, Clone, Default)]
-struct QueueCache {
-    gates: Vec<usize>,
-    valid: bool,
+/// One pending gate in one qubit queue.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    gate: u32,
+    class: WireClass,
+    // Locally CF in this queue; once set it stays set until removal.
+    local_cf: bool,
 }
 
 impl CommutativeFront {
@@ -61,48 +101,121 @@ impl CommutativeFront {
     /// data-dependence front layer (the ablation case).
     pub fn new(circuit: &Circuit, commutativity: bool, window: usize) -> Self {
         assert!(window >= 1, "window must be at least 1");
-        let mut queues = vec![VecDeque::new(); circuit.num_qubits()];
-        for (i, gate) in circuit.gates().iter().enumerate() {
+        let gates = circuit.gates();
+        assert!(u32::try_from(gates.len()).is_ok(), "too many gates");
+        let wires = circuit.num_qubits();
+        // Lay the queues out back to back: count, prefix-sum, fill.
+        let mut head = vec![0; wires];
+        for gate in gates {
             for &q in &gate.qubits {
-                queues[q].push_back(i);
+                head[q] += 1;
             }
         }
-        let cache = vec![QueueCache::default(); circuit.num_qubits()];
-        let zero_qubit = (0..circuit.len())
-            .filter(|&i| circuit.gates()[i].qubits.is_empty())
+        let mut total = 0;
+        for start in &mut head {
+            let len = *start;
+            *start = total;
+            total += len;
+        }
+        let mut end = head.clone();
+        let placeholder = Entry {
+            gate: 0,
+            class: WireClass::FENCE,
+            local_cf: false,
+        };
+        let mut entries = vec![placeholder; total];
+        for (i, gate) in gates.iter().enumerate() {
+            for &q in &gate.qubits {
+                entries[end[q]] = Entry {
+                    gate: i as u32,
+                    class: WireClass::of(gate, q),
+                    local_cf: false,
+                };
+                end[q] += 1;
+            }
+        }
+        // Gates with no qubit operands (possible only for synthetic
+        // barriers) are always CF.
+        let cf: Vec<usize> = (0..gates.len())
+            .filter(|&i| gates[i].qubits.is_empty())
             .collect();
         CommutativeFront {
-            queues,
-            pending: vec![true; circuit.len()],
-            num_pending: circuit.len(),
+            entries,
+            head,
+            end,
+            pending: vec![true; gates.len()],
+            num_pending: gates.len(),
             window,
             commutativity,
-            cache,
-            qualify: vec![0; circuit.len()],
-            cf: Vec::new(),
-            cf_valid: false,
-            zero_qubit,
+            qualify: vec![0; gates.len()],
+            dirty: (0..wires).collect(),
+            is_dirty: vec![true; wires],
+            joined: cf.clone(),
+            cf,
+            counters: FrontCounters::default(),
         }
     }
 
-    fn refresh_queue_cache(&mut self, q: usize, circuit: &Circuit) {
-        let queue = &self.queues[q];
-        let limit = queue.len().min(self.window);
-        let entry = &mut self.cache[q];
-        entry.gates.clear();
-        for pos in 0..limit {
-            let g = queue[pos];
-            let locally_cf = if self.commutativity {
-                (0..pos)
-                    .all(|earlier| commutes(&circuit.gates()[queue[earlier]], &circuit.gates()[g]))
+    /// Re-evaluates the window of queue `q`, promoting the entries that
+    /// became locally CF. Entries already locally CF stay so.
+    fn refresh_queue(&mut self, q: usize, circuit: &Circuit) {
+        let (head, end) = (self.head[q], self.end[q]);
+        let limit = end.min(head + self.window);
+        // Classes of the earlier entries in the window.
+        let mut seen = 0u8;
+        for pos in head..limit {
+            self.counters.positions += 1;
+            let Entry {
+                gate,
+                class,
+                local_cf,
+            } = self.entries[pos];
+            let earlier = seen;
+            seen |= class.bit();
+            if local_cf {
+                continue;
+            }
+            let g = gate as usize;
+            let now_cf = if !self.commutativity {
+                pos == head
             } else {
-                pos == 0
+                let clash = earlier & class.conflict_mask();
+                clash == 0 || (clash == class.bit() && self.twins_only(q, pos, circuit))
             };
-            if locally_cf {
-                entry.gates.push(g);
+            if !now_cf {
+                continue;
+            }
+            self.entries[pos].local_cf = true;
+            self.qualify[g] += 1;
+            if self.qualify[g] as usize == circuit.gates()[g].qubits.len() {
+                let at = self.cf.partition_point(|&c| c < g);
+                self.cf.insert(at, g);
+                self.joined.push(g);
+                self.counters.cf_updates += 1;
             }
         }
-        entry.valid = true;
+    }
+
+    /// The exact fallback for an entry whose class conflicts only with
+    /// itself: locally CF iff it is unitary and every earlier entry of
+    /// its class is an identical gate.
+    fn twins_only(&mut self, q: usize, pos: usize, circuit: &Circuit) -> bool {
+        self.counters.twin_fallbacks += 1;
+        let Entry { gate, class, .. } = self.entries[pos];
+        let gate = &circuit.gates()[gate as usize];
+        gate.kind.is_unitary()
+            && self.entries[self.head[q]..pos]
+                .iter()
+                .filter(|e| e.class == class)
+                .all(|e| circuit.gates()[e.gate as usize] == *gate)
+    }
+
+    /// Refreshes every dirty queue.
+    fn flush(&mut self, circuit: &Circuit) {
+        while let Some(q) = self.dirty.pop() {
+            self.is_dirty[q] = false;
+            self.refresh_queue(q, circuit);
+        }
     }
 
     /// Number of gates not yet emitted.
@@ -120,50 +233,44 @@ impl CommutativeFront {
         self.pending[i]
     }
 
-    /// Computes the current CF set, in program order, returning a
-    /// cached slice (recomputed only after an emission invalidated it).
+    /// The work counters so far.
+    pub fn counters(&self) -> FrontCounters {
+        self.counters
+    }
+
+    /// The current CF set, in program order.
     ///
     /// A gate qualifies iff it is *locally CF* in every queue it belongs
     /// to: within the scan window and commuting with every earlier entry
     /// of that queue. Gates with no qubit operands qualify trivially.
     pub fn cf_gates(&mut self, circuit: &Circuit) -> &[usize] {
-        if self.cf_valid {
-            return &self.cf;
-        }
-        // Refresh stale per-queue caches.
-        for q in 0..self.queues.len() {
-            if !self.cache[q].valid {
-                self.refresh_queue_cache(q, circuit);
-            }
-        }
-        // Count, per gate, how many of its queues expose it as locally
-        // CF; it joins the front exactly when the count reaches its
-        // operand count (each queue contributes at most one increment).
-        self.cf.clear();
-        for entry in &self.cache {
-            for &g in &entry.gates {
-                self.qualify[g] += 1;
-                if self.qualify[g] as usize == circuit.gates()[g].qubits.len() {
-                    self.cf.push(g);
-                }
-            }
-        }
-        // Zero the counters we touched (only those — no O(circuit) pass).
-        for entry in &self.cache {
-            for &g in &entry.gates {
-                self.qualify[g] = 0;
-            }
-        }
-        // Gates with no qubit operands (possible only for synthetic
-        // barriers) are always CF.
-        self.cf.extend_from_slice(&self.zero_qubit);
-        self.cf.sort_unstable();
-        self.cf_valid = true;
+        self.flush(circuit);
         &self.cf
     }
 
-    /// Emits gate `i`: removes it from all queues (invalidating their
-    /// CF caches and the merged set).
+    /// Replaces `out` with the current CF set, in program order, and
+    /// starts a new round for [`CommutativeFront::take_joined`].
+    pub fn snapshot(&mut self, circuit: &Circuit, out: &mut Vec<usize>) {
+        self.flush(circuit);
+        out.clear();
+        out.extend_from_slice(&self.cf);
+        self.joined.clear();
+    }
+
+    /// Replaces `out` with the gates that joined the CF set since the
+    /// last [`CommutativeFront::snapshot`] or `take_joined`, in program
+    /// order, and starts a new round. Apart from emitted gates leaving
+    /// it, the CF set only grows, so the last snapshot plus the takes
+    /// since cover every gate that has been CF in between.
+    pub fn take_joined(&mut self, circuit: &Circuit, out: &mut Vec<usize>) {
+        self.flush(circuit);
+        out.clear();
+        out.extend(self.joined.drain(..).filter(|&g| self.pending[g]));
+        out.sort_unstable();
+    }
+
+    /// Emits gate `i`: removes it from all queues and from the CF set,
+    /// and marks its queues for refresh.
     ///
     /// # Panics
     ///
@@ -172,24 +279,28 @@ impl CommutativeFront {
         assert!(self.pending[i], "gate {i} was already emitted");
         self.pending[i] = false;
         self.num_pending -= 1;
-        self.cf_valid = false;
         let qubits = &circuit.gates()[i].qubits;
-        if qubits.is_empty() {
-            let pos = self
-                .zero_qubit
-                .iter()
-                .position(|&g| g == i)
-                .expect("pending zero-operand gate must be tracked");
-            self.zero_qubit.remove(pos);
-            return;
+        if self.qualify[i] as usize == qubits.len() {
+            let at = self
+                .cf
+                .binary_search(&i)
+                .expect("a qualified gate is in the CF set");
+            self.cf.remove(at);
+            self.counters.cf_updates += 1;
         }
         for &q in qubits {
-            let pos = self.queues[q]
-                .iter()
-                .position(|&g| g == i)
-                .expect("pending gate must be in its qubit queues");
-            self.queues[q].remove(pos);
-            self.cache[q].valid = false;
+            let head = self.head[q];
+            let pos = head
+                + self.entries[head..self.end[q]]
+                    .iter()
+                    .position(|e| e.gate as usize == i)
+                    .expect("pending gate must be in its qubit queues");
+            self.entries.copy_within(head..pos, head + 1);
+            self.head[q] += 1;
+            if !self.is_dirty[q] {
+                self.is_dirty[q] = true;
+                self.dirty.push(q);
+            }
         }
     }
 }
@@ -197,7 +308,7 @@ impl CommutativeFront {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use codar_circuit::Circuit;
+    use codar_circuit::{commutes, Circuit};
 
     fn cf(circuit: &Circuit, commutativity: bool) -> Vec<usize> {
         CommutativeFront::new(circuit, commutativity, DEFAULT_WINDOW)
@@ -376,6 +487,31 @@ mod tests {
                 assert!(front.cf_gates(&c).is_empty());
             }
         }
+    }
+
+    #[test]
+    fn counters_track_twin_fallbacks_and_set_updates() {
+        let mut c = Circuit::new(1);
+        c.h(0);
+        c.h(0);
+        c.t(0);
+        let mut front = CommutativeFront::new(&c, true, DEFAULT_WINDOW);
+        assert_eq!(front.cf_gates(&c), vec![0, 1]);
+        // One refresh over three positions: the second h conflicts only
+        // with its own class and is checked exactly; t conflicts with h.
+        let expected = FrontCounters {
+            positions: 3,
+            twin_fallbacks: 1,
+            cf_updates: 2,
+        };
+        assert_eq!(front.counters(), expected);
+        // Queries without emissions do no work.
+        front.cf_gates(&c);
+        assert_eq!(front.counters(), expected);
+        front.emit(0, &c);
+        front.emit(1, &c);
+        assert_eq!(front.cf_gates(&c), vec![2]);
+        assert_eq!(front.counters().cf_updates, 5);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! [`RouterScratch`]'s clear-or-stamp discipline makes safe, and
 //! the `interleaved_router_kinds_share_one_scratch` test pins it.
 
+use crate::front::FrontCounters;
 use crate::heuristic::{PairDistIndex, SwapScorer};
 use std::collections::VecDeque;
 
@@ -93,12 +94,21 @@ pub struct RouterScratch {
     pub(crate) front_index: PairDistIndex,
     /// Incremental distance sums over `extended_pairs` (SABRE).
     pub(crate) extended_index: PairDistIndex,
+    /// Commutative-front counters summed over CODAR routes.
+    pub(crate) front_counters: FrontCounters,
 }
 
 impl RouterScratch {
     /// An empty scratch; every buffer grows on first use.
     pub fn new() -> Self {
         RouterScratch::default()
+    }
+
+    /// The commutative-front work counters summed over every CODAR route
+    /// through this scratch. They are deterministic: equal routes add
+    /// equal counts, whatever the scratch saw before.
+    pub fn front_counters(&self) -> FrontCounters {
+        self.front_counters
     }
 
     /// Sizes the per-device buffers and starts a fresh stamp round.

@@ -11,8 +11,7 @@ use crate::error::RouteError;
 use crate::mapping::Mapping;
 use crate::result::RoutedCircuit;
 use codar_arch::Device;
-use codar_circuit::commute::action_on;
-use codar_circuit::{commutes, Circuit, Gate, GateKind, QubitAction, QubitId};
+use codar_circuit::{commutes, Circuit, Gate, GateKind, QubitId, WireClass};
 
 /// Checks that `device` can execute every gate of `circuit`: each
 /// operand is one of the device's physical qubits, and each gate other
@@ -300,34 +299,6 @@ pub fn check_equivalence(original: &Circuit, routed: &RoutedCircuit) -> Result<(
     check_order(gates, &position, original.num_qubits())
 }
 
-/// Per-wire commutation classes: the five [`QubitAction`]s, indexed by
-/// discriminant, and `FENCE`, a barrier's class, which conflicts with
-/// every class including `Identity`.
-const ACTIONS: [QubitAction; 5] = [
-    QubitAction::Identity,
-    QubitAction::ZDiagonal,
-    QubitAction::XAxis,
-    QubitAction::YAxis,
-    QubitAction::Arbitrary,
-];
-const FENCE: usize = ACTIONS.len();
-const CLASSES: usize = FENCE + 1;
-
-fn class_on(gate: &Gate, qubit: QubitId) -> usize {
-    if gate.kind == GateKind::Barrier {
-        FENCE
-    } else {
-        action_on(gate, qubit) as usize
-    }
-}
-
-/// Whether two gates sharing a wire in classes `a` and `b` fail to
-/// commute there. The commutation of two gates that are not identical
-/// unitaries fails exactly when some shared wire conflicts.
-fn conflicts(a: usize, b: usize) -> bool {
-    a == FENCE || b == FENCE || !ACTIONS[a].commutes_with(ACTIONS[b])
-}
-
 /// Checks that no pair of non-commuting gates was reordered: there is
 /// no j < k with `position[j] > position[k]` and
 /// `!commutes(gates[position[j]], gates[position[k]])`. After matching,
@@ -347,6 +318,7 @@ fn check_order(gates: &[Gate], position: &[usize], wires: usize) -> Result<(), R
         (j + 1..position.len())
             .find(|&k| position[k] < position[j] && !commutes(a, &gates[position[k]]))
     };
+    const CLASSES: usize = WireClass::COUNT;
     let mut earliest = vec![usize::MAX; wires * CLASSES];
     let mut first = None;
     for (j, &pj) in position.iter().enumerate().rev() {
@@ -354,10 +326,10 @@ fn check_order(gates: &[Gate], position: &[usize], wires: usize) -> Result<(), R
         let mut suspect = false;
         let mut confirmed = false;
         'wires: for &q in &a.qubits {
-            let class = class_on(a, q);
+            let conflicting = WireClass::of(a, q).conflict_mask();
             let row = &earliest[q * CLASSES..(q + 1) * CLASSES];
             for (other, &pk) in row.iter().enumerate() {
-                if pk < pj && conflicts(class, other) {
+                if pk < pj && conflicting & (1 << other) != 0 {
                     if !commutes(a, &gates[pk]) {
                         confirmed = true;
                         break 'wires;
@@ -370,7 +342,7 @@ fn check_order(gates: &[Gate], position: &[usize], wires: usize) -> Result<(), R
             first = Some(j);
         }
         for &q in &a.qubits {
-            let slot = &mut earliest[q * CLASSES + class_on(a, q)];
+            let slot = &mut earliest[q * CLASSES + WireClass::of(a, q).index()];
             *slot = (*slot).min(pj);
         }
     }
@@ -446,13 +418,6 @@ mod tests {
         let mut single = Circuit::new(5);
         single.h(3);
         assert!(check_coupling(&single, &device).is_err());
-    }
-
-    #[test]
-    fn class_indices_follow_action_discriminants() {
-        for (i, &action) in ACTIONS.iter().enumerate() {
-            assert_eq!(action as usize, i);
-        }
     }
 
     #[test]
