@@ -24,6 +24,7 @@
 
 use crate::devices::Device;
 use crate::fidelity_model::FidelityModel;
+use crate::json::{escape, Json};
 use crate::technology::TechnologyParams;
 use codar_circuit::schedule::Time;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -408,7 +409,7 @@ impl CalibrationSnapshot {
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"format\": \"codar-calibration\",");
         let _ = writeln!(out, "  \"schema\": {CALIBRATION_SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"device\": {},", json_escape(&self.device));
+        let _ = writeln!(out, "  \"device\": {},", escape(&self.device));
         let _ = writeln!(out, "  \"version\": {},", self.version);
         let _ = writeln!(out, "  \"cycle_ns\": {},", self.cycle_ns);
         let _ = writeln!(
@@ -447,110 +448,84 @@ impl CalibrationSnapshot {
     }
 
     /// Parses a snapshot from the [`CalibrationSnapshot::to_json`]
-    /// format (field order irrelevant, unknown fields rejected by the
-    /// strict value grammar but tolerated by name).
+    /// format with the workspace's strict JSON grammar
+    /// ([`crate::json`]). Field order is irrelevant and unknown fields
+    /// are ignored.
     ///
     /// # Errors
     ///
     /// A human-readable message for malformed JSON, a wrong `format`
     /// tag, missing fields or out-of-range values.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let value = mini_json::parse(text)?;
-        let obj = value
-            .as_object()
-            .ok_or("calibration must be a JSON object")?;
-        let field = |name: &str| -> Result<&mini_json::Value, String> {
-            obj.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing `{name}` field"))
-        };
-        match field("format")?.as_str() {
-            Some("codar-calibration") => {}
-            _ => return Err("`format` must be \"codar-calibration\"".to_string()),
+        let doc = Json::parse(text)?;
+        if !matches!(doc, Json::Obj(_)) {
+            return Err("calibration must be a JSON object".to_string());
         }
-        let schema = field("schema")?
-            .as_u64()
-            .ok_or("`schema` must be a non-negative integer")?;
+        field(&doc, "", "format", "\"codar-calibration\"", |v| {
+            v.as_str().filter(|&f| f == "codar-calibration")
+        })?;
+        let schema = field(&doc, "", "schema", NON_NEGATIVE, Json::as_u64)?;
         if schema != u64::from(CALIBRATION_SCHEMA_VERSION) {
             return Err(format!(
                 "unsupported calibration schema {schema} (expected {CALIBRATION_SCHEMA_VERSION})"
             ));
         }
-        let device = field("device")?
-            .as_str()
-            .ok_or("`device` must be a string")?
-            .to_string();
-        let version = field("version")?
-            .as_u64()
-            .ok_or("`version` must be a non-negative integer")?;
-        let cycle_ns = field("cycle_ns")?
-            .as_f64()
-            .ok_or("`cycle_ns` must be a number")?;
-        let single_qubit_error = field("single_qubit_error")?
-            .as_f64()
-            .ok_or("`single_qubit_error` must be a number")?;
-        let qubits = field("qubits")?
-            .as_array()
-            .ok_or("`qubits` must be an array")?
+        let device = field(&doc, "", "device", "a string", Json::as_str)?.to_string();
+        let version = field(&doc, "", "version", NON_NEGATIVE, Json::as_u64)?;
+        let cycle_ns = field(&doc, "", "cycle_ns", "a number", Json::as_f64)?;
+        let single_qubit_error = field(&doc, "", "single_qubit_error", "a number", Json::as_f64)?;
+        let qubits = field(&doc, "", "qubits", "an array", Json::as_array)?
             .iter()
             .enumerate()
-            .map(|(i, q)| -> Result<QubitCalibration, String> {
-                let obj = q
-                    .as_object()
-                    .ok_or(format!("qubit {i} must be an object"))?;
-                let num = |name: &str| -> Result<f64, String> {
-                    obj.iter()
-                        .find(|(k, _)| k == name)
-                        .and_then(|(_, v)| v.as_f64())
-                        .ok_or_else(|| format!("qubit {i} needs a numeric `{name}`"))
-                };
+            .map(|(i, q)| {
+                let at = format!("qubit {i} ");
+                let num = |name| field(q, &at, name, "a number", Json::as_f64);
                 Ok(QubitCalibration {
                     t1_us: num("t1_us")?,
                     t2_us: num("t2_us")?,
                     readout_error: num("readout_error")?,
                 })
             })
-            .collect::<Result<Vec<_>, _>>()?;
-        let edges = field("edges")?
-            .as_array()
-            .ok_or("`edges` must be an array")?
+            .collect::<Result<Vec<_>, String>>()?;
+        let edges = field(&doc, "", "edges", "an array", Json::as_array)?
             .iter()
             .enumerate()
-            .map(
-                |(i, e)| -> Result<(usize, usize, EdgeCalibration), String> {
-                    let obj = e.as_object().ok_or(format!("edge {i} must be an object"))?;
-                    let get = |name: &str| -> Result<&mini_json::Value, String> {
-                        obj.iter()
-                            .find(|(k, _)| k == name)
-                            .map(|(_, v)| v)
-                            .ok_or_else(|| format!("edge {i} needs `{name}`"))
-                    };
-                    let endpoint = |name: &str| -> Result<usize, String> {
-                        get(name)?
-                            .as_u64()
-                            .and_then(|v| usize::try_from(v).ok())
-                            .ok_or_else(|| {
-                                format!("edge {i} `{name}` must be a non-negative integer")
-                            })
-                    };
-                    Ok((
-                        endpoint("a")?,
-                        endpoint("b")?,
-                        EdgeCalibration {
-                            error: get("error")?
-                                .as_f64()
-                                .ok_or_else(|| format!("edge {i} `error` must be a number"))?,
-                            duration: get("duration")?.as_u64().ok_or_else(|| {
-                                format!("edge {i} `duration` must be a non-negative integer")
-                            })?,
-                        },
-                    ))
-                },
-            )
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|(i, e)| {
+                let at = format!("edge {i} ");
+                let endpoint = |name| {
+                    field(e, &at, name, NON_NEGATIVE, |v| {
+                        v.as_u64().and_then(|v| usize::try_from(v).ok())
+                    })
+                };
+                let edge = EdgeCalibration {
+                    error: field(e, &at, "error", "a number", Json::as_f64)?,
+                    duration: field(e, &at, "duration", NON_NEGATIVE, Json::as_u64)?,
+                };
+                Ok((endpoint("a")?, endpoint("b")?, edge))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         CalibrationSnapshot::new(device, version, cycle_ns, single_qubit_error, qubits, edges)
     }
+}
+
+const NON_NEGATIVE: &str = "a non-negative integer";
+
+/// The one field lookup of [`CalibrationSnapshot::from_json`]: `obj`'s
+/// `name` field, converted by `convert`. Messages start with `at`, the
+/// array element being read (`""` at the top level, else e.g.
+/// `"edge 3 "`), and name `what` the field must be. A non-object has
+/// no fields, so it fails as a missing one.
+fn field<'a, T>(
+    obj: &'a Json,
+    at: &str,
+    name: &str,
+    what: &str,
+    convert: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    let value = obj
+        .get(name)
+        .ok_or_else(|| format!("{at}missing `{name}` field"))?;
+    convert(value).ok_or_else(|| format!("{at}`{name}` must be {what}"))
 }
 
 fn check_probability(name: &str, v: f64) -> Result<(), String> {
@@ -564,293 +539,6 @@ fn check_probability(name: &str, v: f64) -> Result<(), String> {
 #[inline]
 fn bits(v: f64) -> u64 {
     v.to_bits()
-}
-
-/// JSON string escaping for the snapshot writer (device names are
-/// control-free in practice, but escape defensively anyway).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal strict JSON reader, private to the calibration format.
-///
-/// The full protocol-grade parser lives in `codar-service`; this crate
-/// sits below it in the dependency graph, so the snapshot format keeps
-/// its own small reader: objects, arrays, strings (standard escapes,
-/// no surrogate pairs — calibration data is ASCII), numbers, literals,
-/// with a nesting-depth cap.
-mod mini_json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(fields) => Some(fields),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(v) => Some(*v),
-                _ => None,
-            }
-        }
-
-        /// Exact non-negative integer below 2^53, the bound the
-        /// service protocol parser uses: 2^53 itself is also what
-        /// 2^53 + 1 parses to, so accepting it would load a value the
-        /// document never held.
-        pub fn as_u64(&self) -> Option<u64> {
-            const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
-            match self {
-                Value::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v < EXACT => Some(*v as u64),
-                _ => None,
-            }
-        }
-    }
-
-    const MAX_DEPTH: usize = 32;
-
-    pub fn parse(input: &str) -> Result<Value, String> {
-        let bytes = input.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
-        if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {MAX_DEPTH}"));
-        }
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                loop {
-                    skip_ws(bytes, pos);
-                    let key = match parse_value(bytes, pos, depth + 1)? {
-                        Value::Str(s) => s,
-                        _ => return Err(format!("object key at byte {pos} must be a string")),
-                    };
-                    skip_ws(bytes, pos);
-                    if bytes.get(*pos) != Some(&b':') {
-                        return Err(format!("expected `:` at byte {pos}"));
-                    }
-                    *pos += 1;
-                    fields.push((key, parse_value(bytes, pos, depth + 1)?));
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(fields));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(bytes, pos, depth + 1)?);
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => parse_string(bytes, pos).map(Value::Str),
-            Some(b't') if bytes[*pos..].starts_with(b"true") => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(_) => parse_number(bytes, pos),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        *pos += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            // Exactly four hex digits — from_str_radix
-                            // alone would tolerate a leading sign.
-                            if !hex.iter().all(u8::is_ascii_hexdigit) {
-                                return Err("bad \\u escape".to_string());
-                            }
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            let c = char::from_u32(code)
-                                .ok_or("surrogate \\u escapes are not supported here")?;
-                            out.push(c);
-                            *pos += 4;
-                        }
-                        _ => return Err("unknown escape".to_string()),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err("raw control character in string".to_string());
-                    }
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        if bytes.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        let digits = |pos: &mut usize| {
-            let from = *pos;
-            while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-                *pos += 1;
-            }
-            *pos > from
-        };
-        // Integer part: `0` or a non-zero-led digit run.
-        match bytes.get(*pos) {
-            Some(b'0') => *pos += 1,
-            Some(b'1'..=b'9') => {
-                digits(pos);
-            }
-            _ => return Err(format!("invalid number at byte {start}")),
-        }
-        if bytes.get(*pos) == Some(&b'.') {
-            *pos += 1;
-            if !digits(pos) {
-                return Err(format!("invalid number at byte {start}"));
-            }
-        }
-        if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-            *pos += 1;
-            if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-                *pos += 1;
-            }
-            if !digits(pos) {
-                return Err(format!("invalid number at byte {start}"));
-            }
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII number");
-        let v: f64 = text
-            .parse()
-            .map_err(|_| format!("invalid number `{text}`"))?;
-        if !v.is_finite() {
-            return Err(format!("number `{text}` overflows f64"));
-        }
-        Ok(Value::Num(v))
-    }
 }
 
 #[cfg(test)]
@@ -918,11 +606,11 @@ mod tests {
                 "{\"format\": \"codar-calibration\", \"schema\": 1}",
                 "missing `device`",
             ),
-            ("{\"a\": .5}", "invalid number"),
-            ("{\"a\": 01}", "expected `,` or `}`"),
+            ("{\"a\": .5}", "missing integer part"),
+            ("{\"a\": 01}", "leading zero"),
             ("{\"a\": \"\\u+041\"}", "bad \\u escape"),
             ("{\"a\": \"\\uBEEG\"}", "bad \\u escape"),
-            ("{\"a\": 1,}", "invalid number"),
+            ("{\"a\": 1,}", "expected object key"),
             ("{\"a\": 1e999}", "overflows"),
         ] {
             let err = CalibrationSnapshot::from_json(text).expect_err(text);

@@ -1,12 +1,16 @@
-//! Minimal JSON support for the wire protocol.
+//! The workspace's one JSON reader and string escaper.
 //!
-//! The workspace has no crates.io access, so the service carries its
-//! own JSON layer: a strict recursive-descent parser into [`Json`]
-//! (objects, arrays, strings with full escape handling, numbers,
-//! booleans, `null`) and the [`escape`] helper used when emitting
-//! responses. The parser is for *requests* only — responses are built
-//! with deterministic hand-formatted field order so byte-level golden
-//! tests stay stable.
+//! The workspace has no crates.io access, so it carries its own JSON
+//! layer: a strict recursive-descent parser into [`Json`] (objects,
+//! arrays, strings with full escape handling, finite numbers,
+//! booleans, `null`) and the [`escape`] helper. The parser reads the
+//! daemon's protocol requests and calibration documents
+//! ([`crate::CalibrationSnapshot::from_json`]); output (replies,
+//! summaries, snapshots) is hand-formatted in a fixed field order so
+//! byte-level golden tests stay stable, with [`escape`] for every
+//! string.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,6 +59,14 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The items, if this is an array.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
@@ -170,9 +182,13 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         }
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+    let v: f64 = text
+        .parse()
+        .map_err(|_| format!("invalid number `{text}` at byte {start}"))?;
+    if !v.is_finite() {
+        return Err(format!("number `{text}` at byte {start} overflows f64"));
+    }
+    Ok(Json::Num(v))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -271,6 +287,10 @@ fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u16, String> {
         return Err("truncated \\u escape".into());
     }
     let text = std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?;
+    // Exactly four hex digits: `from_str_radix` alone accepts a sign.
+    if !text.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return Err(format!("bad \\u escape `{text}`"));
+    }
     let v = u16::from_str_radix(text, 16).map_err(|_| format!("bad \\u escape `{text}`"))?;
     *pos = end;
     Ok(v)
@@ -331,12 +351,27 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
-/// Renders `s` as a JSON string literal (quotes included) — the
-/// engine's summary escaping, re-exported so NDJSON payloads
-/// containing QASM (newlines, quotes) stay one line each and cannot
-/// drift from the summaries' rules.
+/// Renders `s` as a JSON string literal (quotes included), escaping
+/// quotes, backslashes and control characters, so NDJSON payloads
+/// containing QASM (newlines, quotes) stay one line each.
 pub fn escape(s: &str) -> String {
-    codar_engine::report::json_string(s)
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]
@@ -450,6 +485,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
         }
+    }
+
+    #[test]
+    fn rejects_signed_unicode_escapes_and_overflowing_numbers() {
+        for (bad, needle) in [
+            (r#""\u+041""#, "bad \\u escape"),
+            (r#""\uBEEG""#, "bad \\u escape"),
+            ("1e999", "overflows"),
+            ("-1e999", "overflows"),
+        ] {
+            let err = Json::parse(bad).expect_err(bad);
+            assert!(err.contains(needle), "`{bad}` gave `{err}`");
+        }
+        // Underflow to a denormal or zero is not an overflow.
+        assert_eq!(Json::parse("1e-999").unwrap(), Json::Num(0.0));
+        assert_eq!(Json::parse("5e-324").unwrap().as_f64(), Some(5e-324));
     }
 
     #[test]

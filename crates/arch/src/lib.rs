@@ -31,6 +31,7 @@ pub mod distance;
 pub mod duration;
 pub mod fidelity_model;
 pub mod graph;
+pub mod json;
 pub mod layout;
 pub mod technology;
 

@@ -9,6 +9,7 @@
 //! baseline (explicitly nondeterministic: it is a measurement).
 
 use crate::job::RouterKind;
+use codar_arch::json::escape;
 use codar_circuit::schedule::Time;
 use codar_router::RoutedCircuit;
 use std::collections::BTreeMap;
@@ -345,21 +346,17 @@ impl Summary {
         for (i, row) in self.rows.iter().enumerate() {
             let cal_columns = match (&row.cal, row.eps) {
                 (Some(cal), Some(eps)) => {
-                    format!(
-                        ", \"cal\": {}, \"eps\": {}",
-                        json_string(cal),
-                        json_float(eps)
-                    )
+                    format!(", \"cal\": {}, \"eps\": {}", escape(cal), json_float(eps))
                 }
-                (Some(cal), None) => format!(", \"cal\": {}", json_string(cal)),
+                (Some(cal), None) => format!(", \"cal\": {}", escape(cal)),
                 _ => String::new(),
             };
             let sim_column = match &row.sim {
-                Some(sim) => format!(", \"sim\": {}", json_string(sim)),
+                Some(sim) => format!(", \"sim\": {}", escape(sim)),
                 None => String::new(),
             };
             let chosen_column = match &row.chosen {
-                Some(chosen) => format!(", \"chosen\": {}", json_string(chosen)),
+                Some(chosen) => format!(", \"chosen\": {}", escape(chosen)),
                 None => String::new(),
             };
             let _ = write!(
@@ -368,12 +365,12 @@ impl Summary {
                  \"router\": {}, \"variant\": {}, \"noise\": {}, \"weighted_depth\": {}, \
                  \"depth\": {}, \"swaps\": {}, \"output_gates\": {}, \"verified\": {}, \
                  \"fidelity\": {}{}{}{}}}",
-                json_string(&row.device),
-                json_string(&row.circuit),
+                escape(&row.device),
+                escape(&row.circuit),
                 row.num_qubits,
                 row.input_gates,
-                json_string(row.router.name()),
-                json_string(&row.variant),
+                escape(row.router.name()),
+                escape(&row.variant),
                 json_opt_string(row.noise.as_deref()),
                 row.weighted_depth,
                 row.depth,
@@ -394,7 +391,7 @@ impl Summary {
         out.push_str("  ],\n  \"comparisons\": [\n");
         for (i, cmp) in self.comparisons.iter().enumerate() {
             let cal_column = match &cmp.cal {
-                Some(cal) => format!(", \"cal\": {}", json_string(cal)),
+                Some(cal) => format!(", \"cal\": {}", escape(cal)),
                 None => String::new(),
             };
             let _ = write!(
@@ -402,8 +399,8 @@ impl Summary {
                 "    {{\"device\": {}, \"circuit\": {}, \"noise\": {}, \"codar_depth\": {}, \
                  \"sabre_depth\": {}, \"speedup\": {}, \"codar_fidelity\": {}, \
                  \"sabre_fidelity\": {}{}}}",
-                json_string(&cmp.device),
-                json_string(&cmp.circuit),
+                escape(&cmp.device),
+                escape(&cmp.circuit),
                 json_opt_string(cmp.noise.as_deref()),
                 cmp.codar_depth,
                 cmp.sabre_depth,
@@ -421,7 +418,7 @@ impl Summary {
         out.push_str("  ],\n  \"mean_speedup_by_device\": {\n");
         let means = self.mean_speedup_by_device();
         for (i, (device, mean)) in means.iter().enumerate() {
-            let _ = write!(out, "    {}: {}", json_string(device), json_float(*mean));
+            let _ = write!(out, "    {}: {}", escape(device), json_float(*mean));
             out.push_str(if i + 1 < means.len() { ",\n" } else { "\n" });
         }
         out.push_str("  }\n}\n");
@@ -535,7 +532,7 @@ fn per_router_json(timings: &[RouterTiming]) -> String {
             out,
             "    {{\"router\": {}, \"jobs\": {}, \"total_seconds\": {:.6}, \
              \"mean_ms\": {:.3}}}",
-            json_string(&t.router),
+            escape(&t.router),
             t.jobs,
             t.total.as_secs_f64(),
             t.mean().as_secs_f64() * 1e3,
@@ -545,34 +542,10 @@ fn per_router_json(timings: &[RouterTiming]) -> String {
     out
 }
 
-/// Renders `s` as a JSON string literal (quotes included), escaping
-/// quotes, backslashes and control characters. Public because the
-/// service crate's NDJSON responses must use byte-identical escaping
-/// to these summaries.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// `"s"` or `null`.
 fn json_opt_string(s: Option<&str>) -> String {
     match s {
-        Some(s) => json_string(s),
+        Some(s) => escape(s),
         None => "null".to_string(),
     }
 }
@@ -840,7 +813,7 @@ mod tests {
 
     #[test]
     fn json_escapes_and_floats_are_fixed() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_float(1.5), "1.500000");
         assert_eq!(csv_field("plain"), "plain");
         assert_eq!(csv_field("a,b"), "\"a,b\"");

@@ -1393,10 +1393,16 @@ fn qasm_line(rng: &mut StdRng) -> String {
 // Calibration documents
 // ---------------------------------------------------------------------------
 
-/// Document-level calibration mutations: version games, non-finite and
-/// denormal numbers, missing sections, device mismatches.
-fn mutate_calibration(document: &str, rng: &mut StdRng) -> String {
-    match rng.gen_range(0..8u32) {
+/// Number of [`calibration_mutation`] arms.
+const CALIBRATION_MUTATIONS: u32 = 8;
+
+/// Document-level calibration mutation `arm`: version games,
+/// non-finite and denormal numbers, missing sections, device
+/// mismatches. Needles match [`CalibrationSnapshot::to_json`]'s
+/// spacing (`"error": 0.…`); one that misses leaves the document as
+/// it was.
+fn calibration_mutation(document: &str, arm: u32) -> String {
+    match arm {
         // Version games: zero, huge — the high-water check's edges.
         0 => replace_nth(document, "\"version\":", "\"version\":0,\"was\":", 0),
         1 => replace_nth(
@@ -1406,14 +1412,14 @@ fn mutate_calibration(document: &str, rng: &mut StdRng) -> String {
             0,
         ),
         // Non-finite and denormal numerics where errors live.
-        2 => replace_nth(document, "\"error\":0.", "\"error\":NaN,\"x\":0.", 0),
-        3 => replace_nth(document, "\"error\":0.", "\"error\":1e999,\"x\":0.", 0),
-        4 => replace_nth(document, "\"error\":0.", "\"error\":1e-320,\"x\":0.", 0),
+        2 => replace_nth(document, "\"error\": 0.", "\"error\": NaN, \"x\": 0.", 0),
+        3 => replace_nth(document, "\"error\": 0.", "\"error\": 1e999, \"x\": 0.", 0),
+        4 => replace_nth(document, "\"error\": 0.", "\"error\": 1e-320, \"x\": 0.", 0),
         // Missing sections.
         5 => replace_nth(document, "\"qubits\":", "\"qbits\":", 0),
         6 => replace_nth(document, "\"edges\":", "\"edgs\":", 0),
         // Device mismatch against the frame's device.
-        7 => replace_nth(document, "\"device\":\"", "\"device\":\"not-", 0),
+        7 => replace_nth(document, "\"device\": \"", "\"device\": \"not-", 0),
         _ => unreachable!(),
     }
 }
@@ -1432,7 +1438,7 @@ fn calibration_line(rng: &mut StdRng) -> String {
     }
     let mut document = snapshot.to_json();
     for _ in 0..rng.gen_range(0..=2u32) {
-        document = mutate_calibration(&document, rng);
+        document = calibration_mutation(&document, rng.gen_range(0..CALIBRATION_MUTATIONS));
     }
     let mut frame = Frame::new();
     if rng.gen_bool(0.5) {
@@ -1453,6 +1459,16 @@ fn calibration_line(rng: &mut StdRng) -> String {
 mod tests {
     use super::*;
     use crate::server::ServiceConfig;
+
+    #[test]
+    fn every_calibration_mutation_changes_the_document() {
+        let device = Device::by_name("q20").expect("preset");
+        let document = CalibrationSnapshot::synthetic(&device, 5).to_json();
+        for arm in 0..CALIBRATION_MUTATIONS {
+            let mutated = calibration_mutation(&document, arm);
+            assert_ne!(mutated, document, "arm {arm} left the document unchanged");
+        }
+    }
 
     #[test]
     fn corpus_is_deterministic_per_seed() {

@@ -34,7 +34,8 @@
 //!   invariants (`loadgen --soak`),
 //! * [`fuzz`] — grammar-aware corpus generation and the protocol
 //!   invariant checker (the `codar-fuzz` bin),
-//! * [`json`] — the minimal JSON layer both sides share.
+//! * [`json`] — the workspace's one JSON reader and string escaper,
+//!   re-exported from `codar_arch::json`.
 //!
 //! # Determinism contract
 //!
@@ -66,7 +67,7 @@
 pub mod cache;
 pub mod faults;
 pub mod fuzz;
-pub mod json;
+pub use codar_arch::json;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;

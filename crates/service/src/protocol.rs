@@ -979,6 +979,7 @@ mod tests {
             ),
             (r#"{"type":"stats","id":-1}"#, "`id`"),
             (r#"{"type":"stats","id":1.5}"#, "`id`"),
+            (r#"{"type":"stats","id":1e999}"#, "malformed JSON"),
         ] {
             let err = Request::parse_line(line).expect_err(line);
             assert!(err.message.contains(needle), "`{line}` gave `{err:?}`");

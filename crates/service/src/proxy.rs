@@ -183,7 +183,9 @@ pub fn shard_key(line: &str) -> u64 {
             let canonical = canonicalize(&qasm, |_| Ok(()))
                 .map(|(_, canonical)| canonical)
                 .unwrap_or(qasm);
-            let alpha_text = if router == RouterKind::CodarCal {
+            // Alpha splits keys exactly where the daemon's cache key
+            // splits them: codar-cal, and `auto` (its codar-cal member).
+            let alpha_text = if router == RouterKind::CodarCal || router == RouterKind::Portfolio {
                 format!("{:016x}", alpha.unwrap_or(DEFAULT_CAL_ALPHA).to_bits())
             } else {
                 String::new()
@@ -944,6 +946,13 @@ mod tests {
         // keep their shard.
         let with_id = compact.replacen('{', "{\"id\":7,", 1);
         assert_eq!(shard_key(&compact), shard_key(&with_id));
+        // `auto` folds alpha in, as the daemon's cache key does; an
+        // omitted alpha is the default one.
+        let auto = compact.replace("\"codar\"", "\"auto\"");
+        let auto_low = auto.replacen('{', "{\"alpha\":0.25,", 1);
+        let auto_default = auto.replacen('{', "{\"alpha\":0.5,", 1);
+        assert_ne!(shard_key(&auto_low), shard_key(&auto_default));
+        assert_eq!(shard_key(&auto), shard_key(&auto_default));
         // Non-route lines hash raw bytes (any shard answers them).
         assert_ne!(
             shard_key("{\"type\":\"stats\"}"),
