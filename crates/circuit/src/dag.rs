@@ -5,14 +5,23 @@
 //! This is the structure SABRE's front layer is computed on; CODAR's
 //! commutative front is computed separately (it relaxes these edges by
 //! commutation, see `codar-router`).
+//!
+//! The edge relation is symmetric in time: *u* is the last gate before
+//! *v* on a shared qubit exactly when *v* is the next gate after *u* on
+//! it. So the DAG of the reversed circuit is this DAG with its edges
+//! turned around, and a [`FrontTracker`] walking [`Direction::Backward`]
+//! visits the gates exactly as a forward walk of the reversed circuit
+//! would, without building either.
 
 use crate::circuit::Circuit;
 
-/// An immutable dependency DAG for a [`Circuit`].
+/// An immutable dependency DAG for a [`Circuit`], stored as flat
+/// adjacency arrays for both edge directions.
 ///
 /// # Examples
 ///
 /// ```
+/// use codar_circuit::dag::{Direction, FrontTracker};
 /// use codar_circuit::{Circuit, CircuitDag};
 ///
 /// let mut c = Circuit::new(3);
@@ -23,128 +32,157 @@ use crate::circuit::Circuit;
 /// // cx(1,2) depends on cx(0,1); h(0) also depends on cx(0,1).
 /// assert_eq!(dag.predecessors(1), &[0]);
 /// assert_eq!(dag.predecessors(2), &[0]);
-/// assert_eq!(dag.front_layer(), vec![0]);
+/// assert_eq!(dag.successors(0), &[1, 2]);
+/// assert_eq!(FrontTracker::new(&dag, Direction::Forward).front(), &[0]);
+/// assert_eq!(FrontTracker::new(&dag, Direction::Backward).front(), &[2, 1]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CircuitDag {
-    preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
+    // Gate i's predecessors are pred_edges[pred_start[i]..pred_start[i + 1]]
+    // in descending index; its successors are laid out alike, ascending.
+    pred_start: Vec<u32>,
+    pred_edges: Vec<u32>,
+    succ_start: Vec<u32>,
+    succ_edges: Vec<u32>,
+}
+
+/// Which way a walk over a [`CircuitDag`] goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// Program order: a gate is ready once its predecessors are resolved.
+    Forward,
+    /// Reverse program order: predecessors act as successors, and the
+    /// walk is the forward walk of the reversed circuit.
+    Backward,
 }
 
 impl CircuitDag {
     /// Builds the DAG for `circuit` in O(gates × arity).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit has more than `u32::MAX` gates or edges.
     pub fn new(circuit: &Circuit) -> Self {
         let n = circuit.len();
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut last_on_qubit: Vec<Option<usize>> = vec![None; circuit.num_qubits()];
+        let index = |i: usize| u32::try_from(i).expect("gate and edge counts fit in u32");
+        let arity: usize = circuit.gates().iter().map(|g| g.qubits.len()).sum();
+        let mut pred_start = Vec::with_capacity(n + 1);
+        let mut pred_edges = Vec::with_capacity(arity);
+        let mut succ_start = vec![0u32; n + 1];
+        let mut last_on_qubit: Vec<Option<u32>> = vec![None; circuit.num_qubits()];
+        pred_start.push(0);
         for (i, gate) in circuit.gates().iter().enumerate() {
+            let start = pred_edges.len();
             for &q in &gate.qubits {
                 if let Some(p) = last_on_qubit[q] {
-                    if !preds[i].contains(&p) {
-                        preds[i].push(p);
-                        succs[p].push(i);
+                    if !pred_edges[start..].contains(&p) {
+                        pred_edges.push(p);
+                        succ_start[p as usize + 1] += 1;
                     }
                 }
-                last_on_qubit[q] = Some(i);
+                last_on_qubit[q] = Some(index(i));
+            }
+            pred_edges[start..].sort_unstable_by(|a, b| b.cmp(a));
+            pred_start.push(index(pred_edges.len()));
+        }
+        // Counts to offsets; then each gate's successors are filled in
+        // ascending order, using succ_start[p] as p's write cursor.
+        for i in 0..n {
+            succ_start[i + 1] += succ_start[i];
+        }
+        let mut succ_edges = vec![0u32; pred_edges.len()];
+        for i in 0..n {
+            for &p in &pred_edges[pred_start[i] as usize..pred_start[i + 1] as usize] {
+                succ_edges[succ_start[p as usize] as usize] = index(i);
+                succ_start[p as usize] += 1;
             }
         }
-        CircuitDag { preds, succs }
+        // Each cursor now holds the next gate's start: shift them back.
+        succ_start.copy_within(0..n, 1);
+        succ_start[0] = 0;
+        CircuitDag {
+            pred_start,
+            pred_edges,
+            succ_start,
+            succ_edges,
+        }
     }
 
     /// Number of nodes (gates).
     pub fn len(&self) -> usize {
-        self.preds.len()
+        self.pred_start.len() - 1
     }
 
     /// True when the DAG has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        self.len() == 0
     }
 
-    /// Direct predecessors of gate `i`.
-    pub fn predecessors(&self, i: usize) -> &[usize] {
-        &self.preds[i]
+    /// Direct predecessors of gate `i`, in descending index.
+    pub fn predecessors(&self, i: usize) -> &[u32] {
+        &self.pred_edges[self.pred_start[i] as usize..self.pred_start[i + 1] as usize]
     }
 
-    /// Direct successors of gate `i`.
-    pub fn successors(&self, i: usize) -> &[usize] {
-        &self.succs[i]
+    /// Direct successors of gate `i`, in ascending index.
+    pub fn successors(&self, i: usize) -> &[u32] {
+        &self.succ_edges[self.succ_start[i] as usize..self.succ_start[i + 1] as usize]
     }
 
-    /// Gates with no predecessors (the initial front layer).
-    pub fn front_layer(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.preds[i].is_empty())
-            .collect()
-    }
-
-    /// A topological order (program order is always one).
-    pub fn topological_order(&self) -> Vec<usize> {
-        (0..self.len()).collect()
-    }
-
-    /// Length of the longest path (in gates) through the DAG — equals the
-    /// circuit depth when every gate has unit duration and barriers are
-    /// counted as nodes.
-    pub fn longest_path_len(&self) -> usize {
-        let mut dist = vec![0usize; self.len()];
-        let mut best = 0;
-        for i in 0..self.len() {
-            let d = self.preds[i]
-                .iter()
-                .map(|&p| dist[p] + 1)
-                .max()
-                .unwrap_or(1);
-            dist[i] = d;
-            best = best.max(d);
+    /// The gates that follow gate `i` on a walk in `direction`: its
+    /// successors forward, its predecessors backward. Backward they come
+    /// in descending index, the order in which the reversed circuit's
+    /// DAG lists the same gates as successors.
+    pub fn successors_in(&self, i: usize, direction: Direction) -> &[u32] {
+        match direction {
+            Direction::Forward => self.successors(i),
+            Direction::Backward => self.predecessors(i),
         }
-        best
     }
 }
 
 /// Tracks how many unresolved dependencies each gate has, supporting
-/// incremental front-layer maintenance during routing.
+/// incremental front-layer maintenance during routing, in either
+/// [`Direction`].
 #[derive(Debug, Clone)]
 pub struct FrontTracker {
-    remaining_preds: Vec<usize>,
-    resolved: Vec<bool>,
+    direction: Direction,
+    remaining: Vec<u32>,
     front: Vec<usize>,
-    num_resolved: usize,
+    unresolved: usize,
 }
 
 impl FrontTracker {
-    /// Creates a tracker with nothing resolved.
-    pub fn new(dag: &CircuitDag) -> Self {
-        let remaining_preds: Vec<usize> =
-            (0..dag.len()).map(|i| dag.predecessors(i).len()).collect();
-        let front = dag.front_layer();
+    /// Creates a tracker with nothing resolved. Walking backward, the
+    /// initial front lists the gates in descending index, as the forward
+    /// front of the reversed circuit does.
+    pub fn new(dag: &CircuitDag, direction: Direction) -> Self {
+        let before = |i: usize| match direction {
+            Direction::Forward => dag.predecessors(i),
+            Direction::Backward => dag.successors(i),
+        };
+        let remaining: Vec<u32> = (0..dag.len()).map(|i| before(i).len() as u32).collect();
+        let ready = |&i: &usize| remaining[i] == 0;
+        let front = match direction {
+            Direction::Forward => (0..dag.len()).filter(ready).collect(),
+            Direction::Backward => (0..dag.len()).rev().filter(ready).collect(),
+        };
         FrontTracker {
-            remaining_preds,
-            resolved: vec![false; dag.len()],
+            direction,
+            remaining,
             front,
-            num_resolved: 0,
+            unresolved: dag.len(),
         }
     }
 
-    /// The current front layer (gates whose predecessors are all resolved).
+    /// The current front layer (gates whose predecessors in the walk's
+    /// direction are all resolved).
     pub fn front(&self) -> &[usize] {
         &self.front
     }
 
-    /// Number of gates already resolved.
-    pub fn num_resolved(&self) -> usize {
-        self.num_resolved
-    }
-
     /// True when every gate has been resolved.
     pub fn is_done(&self) -> bool {
-        self.num_resolved == self.resolved.len()
-    }
-
-    /// Whether gate `i` has been resolved.
-    pub fn is_resolved(&self, i: usize) -> bool {
-        self.resolved[i]
+        self.unresolved == 0
     }
 
     /// Marks gate `i` (which must be in the front) as executed and
@@ -160,11 +198,11 @@ impl FrontTracker {
             .position(|&g| g == i)
             .expect("gate to resolve must be in the front layer");
         self.front.swap_remove(pos);
-        self.resolved[i] = true;
-        self.num_resolved += 1;
-        for &s in dag.successors(i) {
-            self.remaining_preds[s] -= 1;
-            if self.remaining_preds[s] == 0 {
+        self.unresolved -= 1;
+        for &s in dag.successors_in(i, self.direction) {
+            let s = s as usize;
+            self.remaining[s] -= 1;
+            if self.remaining[s] == 0 {
                 self.front.push(s);
             }
         }
@@ -187,12 +225,12 @@ mod tests {
     fn builds_expected_edges() {
         let c = chain();
         let dag = CircuitDag::new(&c);
-        assert_eq!(dag.predecessors(0), &[] as &[usize]);
+        assert_eq!(dag.predecessors(0), &[] as &[u32]);
         assert_eq!(dag.predecessors(1), &[0]);
-        let mut p2 = dag.predecessors(2).to_vec();
-        p2.sort_unstable();
-        assert_eq!(p2, vec![0, 1]);
-        assert_eq!(dag.front_layer(), vec![0]);
+        assert_eq!(dag.predecessors(2), &[1, 0], "descending");
+        assert_eq!(dag.successors(0), &[1, 2]);
+        assert_eq!(dag.successors(1), &[2]);
+        assert_eq!(dag.successors(2), &[] as &[u32]);
     }
 
     #[test]
@@ -211,27 +249,25 @@ mod tests {
         c.cx(0, 1);
         c.cx(2, 3);
         let dag = CircuitDag::new(&c);
-        assert_eq!(dag.front_layer(), vec![0, 1]);
+        assert_eq!(FrontTracker::new(&dag, Direction::Forward).front(), &[0, 1]);
+        assert_eq!(
+            FrontTracker::new(&dag, Direction::Backward).front(),
+            &[1, 0]
+        );
     }
 
     #[test]
-    fn longest_path() {
-        let dag = CircuitDag::new(&chain());
-        assert_eq!(dag.longest_path_len(), 3);
-    }
-
-    #[test]
-    fn longest_path_empty() {
+    fn empty_circuit() {
         let dag = CircuitDag::new(&Circuit::new(2));
-        assert_eq!(dag.longest_path_len(), 0);
         assert!(dag.is_empty());
+        assert!(FrontTracker::new(&dag, Direction::Backward).is_done());
     }
 
     #[test]
     fn front_tracker_walks_the_dag() {
         let c = chain();
         let dag = CircuitDag::new(&c);
-        let mut tracker = FrontTracker::new(&dag);
+        let mut tracker = FrontTracker::new(&dag, Direction::Forward);
         assert_eq!(tracker.front(), &[0]);
         tracker.resolve(0, &dag);
         assert_eq!(tracker.front(), &[1]);
@@ -242,12 +278,43 @@ mod tests {
         assert!(tracker.is_done());
     }
 
+    /// Every front a backward walk shows, mapped to reversed-circuit
+    /// indices, is the front a forward walk of the reversed circuit
+    /// shows, in the same order.
+    #[test]
+    fn backward_walk_is_the_reversed_forward_walk() {
+        let mut c = Circuit::new(4);
+        c.h(3);
+        c.cx(0, 1);
+        c.cx(2, 3);
+        c.barrier(vec![0, 1, 2, 3]);
+        c.cx(1, 2);
+        c.t(0);
+        c.cx(3, 0);
+        c.barrier(vec![]);
+        c.h(1);
+        let n = c.len();
+        let dag = CircuitDag::new(&c);
+        let reversed = c.reversed();
+        let reversed_dag = CircuitDag::new(&reversed);
+        let mut backward = FrontTracker::new(&dag, Direction::Backward);
+        let mut forward = FrontTracker::new(&reversed_dag, Direction::Forward);
+        while !forward.is_done() {
+            let mirrored: Vec<usize> = backward.front().iter().map(|&g| n - 1 - g).collect();
+            assert_eq!(mirrored, forward.front());
+            let next = forward.front()[forward.front().len() - 1];
+            forward.resolve(next, &reversed_dag);
+            backward.resolve(n - 1 - next, &dag);
+        }
+        assert!(backward.is_done());
+    }
+
     #[test]
     #[should_panic(expected = "front layer")]
     fn resolving_non_front_gate_panics() {
         let c = chain();
         let dag = CircuitDag::new(&c);
-        let mut tracker = FrontTracker::new(&dag);
+        let mut tracker = FrontTracker::new(&dag, Direction::Forward);
         tracker.resolve(2, &dag);
     }
 

@@ -25,6 +25,7 @@
 
 use crate::front::FrontCounters;
 use crate::heuristic::{PairDistIndex, SwapScorer};
+use crate::sabre::SabreCounters;
 use std::collections::VecDeque;
 
 /// Reusable buffers for the router inner loops (see the module docs).
@@ -96,6 +97,8 @@ pub struct RouterScratch {
     pub(crate) extended_index: PairDistIndex,
     /// Commutative-front counters summed over CODAR routes.
     pub(crate) front_counters: FrontCounters,
+    /// SABRE pass counters summed over placements and SABRE routes.
+    pub(crate) sabre_counters: SabreCounters,
 }
 
 impl RouterScratch {
@@ -109,6 +112,14 @@ impl RouterScratch {
     /// equal counts, whatever the scratch saw before.
     pub fn front_counters(&self) -> FrontCounters {
         self.front_counters
+    }
+
+    /// The SABRE work counters summed over every reverse-traversal
+    /// placement and SABRE route through this scratch: placement passes,
+    /// SWAP rounds and candidates scored. Deterministic, like
+    /// [`RouterScratch::front_counters`].
+    pub fn sabre_counters(&self) -> SabreCounters {
+        self.sabre_counters
     }
 
     /// Sizes the per-device buffers and starts a fresh stamp round.

@@ -11,7 +11,7 @@
 
 use codar_arch::Device;
 use codar_benchmarks::generators;
-use codar_router::sabre::reverse_traversal_mapping;
+use codar_router::sabre::{reverse_traversal_mapping, SabreCounters};
 use codar_router::{
     CodarConfig, CodarRouter, GreedyRouter, InitialMapping, Mapping, RoutedCircuit, RouterScratch,
     SabreRouter,
@@ -59,6 +59,15 @@ fn assert_identical(fresh: &RoutedCircuit, reused: &RoutedCircuit, context: &str
     );
 }
 
+/// The counters a scratch gained between two readings.
+fn counters_since(before: SabreCounters, after: SabreCounters) -> SabreCounters {
+    SabreCounters {
+        placement_passes: after.placement_passes - before.placement_passes,
+        swap_rounds: after.swap_rounds - before.swap_rounds,
+        candidates_scored: after.candidates_scored - before.candidates_scored,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -87,17 +96,25 @@ proptest! {
     }
 
     /// SABRE: same property, including the reverse-traversal initial
-    /// mapping (two extra routing passes through the same scratch).
+    /// mapping (two extra routing passes through the same scratch) and
+    /// the SABRE work counters.
     #[test]
     fn sabre_scratch_reuse_is_invisible(seed in 0u64..1000) {
         let circuit = random_circuit(seed);
         let mut shared = RouterScratch::new();
         for device in catalog() {
             let router = SabreRouter::new(&device);
-            let fresh = router.route(&circuit, None, &mut RouterScratch::new()).expect("fits");
+            let mut fresh_scratch = RouterScratch::new();
+            let fresh = router.route(&circuit, None, &mut fresh_scratch).expect("fits");
+            let before = shared.sabre_counters();
             let reused = router.route(&circuit, None, &mut shared).expect("fits");
             let context = format!("sabre seed {seed} on {}", device.name());
             assert_identical(&fresh, &reused, &context);
+            assert_eq!(
+                counters_since(before, shared.sabre_counters()),
+                fresh_scratch.sabre_counters(),
+                "counters diverge: {context}"
+            );
             let explicit = reverse_traversal_mapping(
                 &circuit,
                 &device,

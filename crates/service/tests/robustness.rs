@@ -79,3 +79,23 @@ fn hostile_corpus_gets_one_well_formed_error_reply_per_line() {
         "hostile replies diverged across runs"
     );
 }
+
+/// The corpus line whose calibration snapshot is a valid object nesting
+/// arrays 200 deep reaches the document parser's nesting cap (the
+/// request line itself nests only one level).
+#[test]
+fn deep_calibration_snapshot_hits_the_nesting_cap() {
+    let corpus = std::fs::read_to_string(corpus_path()).expect("read corpus");
+    let deep = format!("\\\"deep\\\":{}", "[".repeat(200));
+    let requests: Vec<&str> = corpus.lines().filter(|l| !l.trim().is_empty()).collect();
+    let line = requests
+        .iter()
+        .position(|request| request.contains(&deep))
+        .expect("the corpus has the 200-deep calibration snapshot");
+    let replies = replay();
+    let reply = replies.lines().nth(line).expect("one reply per line");
+    assert!(
+        reply.contains("nesting deeper than 128 levels"),
+        "reply to the 200-deep snapshot: {reply}"
+    );
+}
