@@ -8,6 +8,27 @@ use crate::layout::Layout2d;
 use std::fmt;
 use std::sync::Arc;
 
+/// One preset: (catalog key, device name, constructor).
+type Preset = (&'static str, &'static str, fn() -> Device);
+
+/// The preset catalog. The names let [`Device::catalog_key`] resolve
+/// either spelling without building a device; a unit test keeps them
+/// equal to what the constructors build.
+const PRESETS: [Preset; 8] = [
+    ("q16", "IBM Q16 Melbourne", Device::ibm_q16_melbourne),
+    ("q20", "IBM Q20 Tokyo", Device::ibm_q20_tokyo),
+    ("6x6", "grid 6x6", Device::enfield_6x6),
+    ("q54", "Google Q54 Sycamore", Device::google_sycamore54),
+    ("q72", "Google Bristlecone 72", Device::google_bristlecone72),
+    ("q5", "IBM Q5 Yorktown", Device::ibm_q5_yorktown),
+    (
+        "falcon27",
+        "IBM Falcon 27 (heavy-hex)",
+        Device::ibm_falcon27,
+    ),
+    ("aspen16", "Rigetti Aspen 16", Device::rigetti_aspen16),
+];
+
 /// A complete maQAM static structure: coupling graph, distances,
 /// durations and (for lattices) a 2-D layout.
 ///
@@ -355,25 +376,37 @@ impl Device {
 
     /// All named presets with their CLI aliases.
     pub fn presets() -> Vec<(&'static str, Device)> {
-        vec![
-            ("q16", Device::ibm_q16_melbourne()),
-            ("q20", Device::ibm_q20_tokyo()),
-            ("6x6", Device::enfield_6x6()),
-            ("q54", Device::google_sycamore54()),
-            ("q72", Device::google_bristlecone72()),
-            ("q5", Device::ibm_q5_yorktown()),
-            ("falcon27", Device::ibm_falcon27()),
-            ("aspen16", Device::rigetti_aspen16()),
-        ]
+        PRESETS
+            .iter()
+            .map(|(key, _, build)| (*key, build()))
+            .collect()
     }
 
-    /// Canonical preset names, in [`Device::presets`] order — the list
+    /// Preset catalog keys, in [`Device::presets`] order — the list
     /// generators draw device names from without building the devices.
     pub fn preset_names() -> Vec<&'static str> {
-        Device::presets()
-            .into_iter()
-            .map(|(name, _)| name)
-            .collect()
+        PRESETS.iter().map(|(key, _, _)| *key).collect()
+    }
+
+    /// The catalog key of the preset `name` denotes: its key or its
+    /// device name, both case-insensitive. Builds no device, so a
+    /// request-rate caller can resolve names for free.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use codar_arch::Device;
+    /// assert_eq!(Device::catalog_key("Q20"), Some("q20"));
+    /// assert_eq!(Device::catalog_key("ibm q20 tokyo"), Some("q20"));
+    /// assert_eq!(Device::catalog_key("tokyo"), None);
+    /// ```
+    pub fn catalog_key(name: &str) -> Option<&'static str> {
+        PRESETS
+            .iter()
+            .find(|(key, device, _)| {
+                key.eq_ignore_ascii_case(name) || device.eq_ignore_ascii_case(name)
+            })
+            .map(|(key, _, _)| *key)
     }
 
     /// The four architectures of the paper's Fig. 8, in paper order.
@@ -483,6 +516,16 @@ mod tests {
             assert_eq!(Device::by_name(alias).unwrap().num_qubits(), 127);
         }
         assert!(!Device::preset_names().contains(&"eagle127"));
+    }
+
+    #[test]
+    fn catalog_names_match_the_built_presets() {
+        for (key, name, build) in PRESETS {
+            assert_eq!(build().name(), name, "{key}");
+            assert_eq!(Device::catalog_key(&name.to_ascii_uppercase()), Some(key));
+            assert_eq!(Device::catalog_key(key), Some(key));
+        }
+        assert_eq!(Device::catalog_key("eagle127"), None);
     }
 
     #[test]

@@ -271,7 +271,17 @@ impl Gate {
     }
 
     /// Creates a barrier over `qubits`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an operand repeats, as [`Gate::new`] does: the DAG,
+    /// the routers' fronts and the verifier all assume distinct operands.
     pub fn barrier(qubits: Vec<QubitId>) -> Self {
+        let mut sorted = qubits.clone();
+        sorted.sort_unstable();
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+            panic!("barrier has repeated qubit operand {}", pair[0]);
+        }
         Gate {
             kind: GateKind::Barrier,
             qubits,
@@ -363,6 +373,12 @@ mod tests {
     #[should_panic(expected = "repeated qubit")]
     fn repeated_operand_panics() {
         Gate::new(GateKind::Cx, vec![1, 1], vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "barrier has repeated qubit operand 3")]
+    fn repeated_barrier_operand_panics() {
+        Gate::barrier(vec![3, 0, 1, 2, 4, 5, 6, 7, 8, 3]);
     }
 
     #[test]

@@ -530,6 +530,7 @@ impl<'a> Lowering<'a> {
                 for arg in args {
                     qubits.extend(self.broadcast_qubits(arg)?);
                 }
+                distinct_operands("barrier", &qubits)?;
                 self.flat.ops.push(FlatOp::Barrier { qubits });
                 Ok(())
             }
@@ -670,17 +671,7 @@ impl<'a> Lowering<'a> {
                 format!("gate expansion exceeds depth {MAX_EXPANSION_DEPTH} (recursive definition of `{name}`?)"),
             ));
         }
-        // Repeated operands are invalid quantum operations (e.g. cx q[0],q[0]).
-        for (i, a) in qubits.iter().enumerate() {
-            for b in &qubits[i + 1..] {
-                if a == b {
-                    return Err(QasmError::new(
-                        QasmErrorKind::Semantic,
-                        format!("gate `{name}` applied with repeated qubit operand"),
-                    ));
-                }
-            }
-        }
+        distinct_operands(name, qubits)?;
         if let Some(gate) = PrimitiveGate::from_name(name) {
             if gate.num_qubits() != qubits.len() {
                 return Err(QasmError::new(
@@ -818,12 +809,34 @@ impl<'a> Lowering<'a> {
                             })
                         })
                         .collect::<Result<_, _>>()?;
+                    distinct_operands("barrier", &qubits)?;
                     self.flat.ops.push(FlatOp::Barrier { qubits });
                 }
             }
         }
         Ok(())
     }
+}
+
+/// Rejects an operation that names one qubit twice (`cx q[0],q[0]`,
+/// `barrier q, q[0]`): every layer below assumes distinct operands.
+/// Barriers can span whole registers, so long operand lists are checked
+/// by sorting rather than pairwise.
+fn distinct_operands(name: &str, qubits: &[usize]) -> Result<(), QasmError> {
+    let repeated = if qubits.len() <= 8 {
+        (1..qubits.len()).any(|i| qubits[..i].contains(&qubits[i]))
+    } else {
+        let mut sorted = qubits.to_vec();
+        sorted.sort_unstable();
+        sorted.windows(2).any(|pair| pair[0] == pair[1])
+    };
+    if repeated {
+        return Err(QasmError::new(
+            QasmErrorKind::Semantic,
+            format!("gate `{name}` applied with repeated qubit operand"),
+        ));
+    }
+    Ok(())
 }
 
 /// Lowers a parsed program to a [`FlatProgram`].
@@ -1044,6 +1057,24 @@ mod tests {
     fn rejects_repeated_operand() {
         let e = flat_err("include \"qelib1.inc\"; qreg q[2]; cx q[0], q[0];");
         assert!(e.to_string().contains("repeated"));
+    }
+
+    #[test]
+    fn rejects_repeated_barrier_operands() {
+        for source in [
+            "qreg q[2]; barrier q[0], q[0];",
+            "qreg q[2]; barrier q, q[0];",
+            "qreg q[12]; barrier q, q[11];",
+            "qreg q[2]; gate g a { barrier a, a; } g q[0];",
+        ] {
+            let e = flat_err(source);
+            assert!(
+                e.to_string()
+                    .contains("gate `barrier` applied with repeated qubit operand"),
+                "{source}: {e}"
+            );
+        }
+        flat("qreg q[2]; qreg r[1]; barrier q, r[0]; barrier q[1];");
     }
 
     #[test]

@@ -339,8 +339,9 @@ impl InvariantChecker {
     /// # Errors
     ///
     /// Any broken invariant: empty or multi-line reply, malformed
-    /// JSON, unknown status, id mismatch, or a `stats` reply whose
-    /// counters regressed or whose cache overflowed its capacity.
+    /// JSON, unknown status, an `internal error` (a caught panic), id
+    /// mismatch, or a `stats` reply whose counters regressed or whose
+    /// cache overflowed its capacity.
     pub fn check(&mut self, input: &str, reply: &str) -> Result<(), String> {
         if reply.is_empty() {
             return Err("empty reply".to_string());
@@ -359,6 +360,13 @@ impl InvariantChecker {
             "error" => self.tally.error += 1,
             "overloaded" => self.tally.overloaded += 1,
             other => return Err(format!("unknown status `{other}`")),
+        }
+        // A worker panic is caught and answered, so it looks like an
+        // ordinary error; no request may reach one.
+        if let Some(error) = parsed.get("error").and_then(Json::as_str) {
+            if error.contains("internal error") {
+                return Err(format!("request reached a panic: {error}"));
+            }
         }
         let expected = expected_id(input);
         let echoed = parsed.get("id").and_then(Json::as_u64);
@@ -1007,10 +1015,14 @@ fn protocol_line(rng: &mut StdRng) -> String {
 ///   itself — and the daemon answers too, so the line is valid
 ///   everywhere);
 /// * **hashed-key boundary** routes: one base circuit emitted under a
-///   surface form that must not change its rendezvous key — extra
-///   whitespace, flipped device case, an added `id` — so a sharded
-///   replay exercises the canonicalization seam of
-///   `codar_service::proxy::shard_key`;
+///   surface form that must not change its
+///   [`RouteKey`](crate::cache::RouteKey) — extra whitespace, flipped
+///   device case, the device's name instead of its catalog key, an
+///   added `id` — so a sharded replay exercises
+///   `codar_service::proxy::shard_key`, the key's
+///   [`shard_fnv`](crate::cache::RouteKey::shard_fnv) projection (it
+///   leaves out the seed, calibration version and portfolio member:
+///   per-backend state the proxy cannot see);
 /// * one-gate neighbors of the base circuit, which *may* hash
 ///   elsewhere — the keyspace-splitting side of the same boundary.
 fn proxy_line(rng: &mut StdRng) -> String {
@@ -1053,7 +1065,7 @@ fn proxy_line(rng: &mut StdRng) -> String {
                 1 => format!("{base} h q[1];"),
                 _ => base.to_string(),
             };
-            let device = if rng.gen_bool(0.3) { "Q20" } else { "q20" };
+            let device = ["q20", "q20", "Q20", "IBM Q20 Tokyo"][rng.gen_range(0..4usize)];
             let mut frame = Frame::new();
             if rng.gen_bool(0.4) {
                 frame.push("id", rng.gen_range(0..1_000_000u64).to_string());
@@ -1291,7 +1303,7 @@ fn replace_nth(text: &str, needle: &str, replacement: &str, index: usize) -> Str
 /// Source-level QASM mutations: each targets a distinct analyzer layer
 /// (lexer, parser, semantic bounds, broadcast rules).
 fn mutate_qasm(source: &str, rng: &mut StdRng) -> String {
-    match rng.gen_range(0..7u32) {
+    match rng.gen_range(0..8u32) {
         // Index perturbation: out-of-range, negative, empty, huge.
         0 => {
             let hostile = ["999999", "-1", "", "18446744073709551616"][rng.gen_range(0..4usize)];
@@ -1363,6 +1375,14 @@ fn mutate_qasm(source: &str, rng: &mut StdRng) -> String {
         ),
         // Register renamed at declaration only — every use dangles.
         6 => replace_nth(source, "qreg q[", "qreg r[", 0),
+        // A degenerate barrier: a repeated operand or a whole register
+        // next to one of its own qubits (both rejected, since every
+        // layer below assumes distinct operands), an operand-free one,
+        // or a valid whole-register one.
+        7 => {
+            let barrier = ["q[0], q[0]", "q, q[0]", "q[1], q", "", "q"][rng.gen_range(0..5usize)];
+            format!("{source} barrier {barrier};")
+        }
         _ => unreachable!(),
     }
 }
@@ -1575,6 +1595,12 @@ mod tests {
                 "id mismatch",
             ),
             ("{}", "{\"id\":3,\"status\":\"ok\"}", "id mismatch"),
+            (
+                "{}",
+                "{\"type\":\"error\",\"status\":\"error\",\
+                 \"error\":\"internal error: routing panicked\"}",
+                "reached a panic",
+            ),
         ];
         for (input, reply, needle) in cases {
             let err = InvariantChecker::new()

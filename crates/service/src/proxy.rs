@@ -31,16 +31,16 @@
 //! produce byte-identical route-response multisets (the determinism
 //! gate in `tests/proxy.rs` and CI).
 
-use crate::cache::{fnv1a_extend, key_material, FNV_OFFSET};
+use crate::cache::{fnv1a_extend, RouteKey, FNV_OFFSET};
 use crate::json::Json;
 use crate::metrics::{Histogram, ServiceMetrics};
 use crate::protocol::{
     attach_id, attach_trace, overloaded_body, shutdown_body, CalAction, Request,
     TRACE_REPLY_DEFAULT, TRACE_REPLY_MAX,
 };
-use crate::server::{canonicalize, SharedWriter, DEFAULT_CAL_ALPHA};
+use crate::server::{canonicalize, SharedWriter};
 use crate::trace::{phase_sample, TraceCtx, TraceRecorder};
-use codar_engine::RouterKind;
+use codar_arch::Device;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
@@ -163,15 +163,14 @@ struct NdConn {
     writer: TcpStream,
 }
 
-/// The rendezvous placement key of one request line: route requests
-/// hash their *canonical* identity (the circuit as the daemon's
-/// [`canonicalize`] writes it + lowercased device + router + exact alpha
-/// bits + sim backend — the request-dependent part of the backends'
-/// cache key), so formatting differences cannot split a circuit across
-/// shards. Unparseable circuits and non-route lines hash raw bytes —
-/// any shard answers those identically.
+/// The rendezvous placement key of one request line. A route request
+/// naming a catalog device with a parseable circuit hashes the
+/// [`RouteKey::shard_fnv`] projection of the key the daemon caches it
+/// under, so formatting, `id`, device case and device alias cannot
+/// split one request across shards. Every other line hashes its raw
+/// bytes: any shard answers those identically.
 pub fn shard_key(line: &str) -> u64 {
-    match Request::parse_line(line) {
+    let key = match Request::parse_line(line) {
         Ok(Request::Route {
             device,
             router,
@@ -179,26 +178,16 @@ pub fn shard_key(line: &str) -> u64 {
             sim,
             qasm,
             ..
-        }) => {
-            let canonical = canonicalize(&qasm, |_| Ok(()))
-                .map(|(_, canonical)| canonical)
-                .unwrap_or(qasm);
-            // Alpha splits keys exactly where the daemon's cache key
-            // splits them: codar-cal, and `auto` (its codar-cal member).
-            let alpha_text = if router == RouterKind::CodarCal || router == RouterKind::Portfolio {
-                format!("{:016x}", alpha.unwrap_or(DEFAULT_CAL_ALPHA).to_bits())
-            } else {
-                String::new()
-            };
-            let device = device.to_ascii_lowercase();
-            let mut parts: Vec<&str> = vec![&canonical, &device, router.name(), &alpha_text];
-            if let Some(backend) = sim {
-                parts.push(backend.name());
-            }
-            fnv1a_extend(FNV_OFFSET, key_material(&parts).as_bytes())
-        }
-        _ => fnv1a_extend(FNV_OFFSET, line.as_bytes()),
-    }
+        }) => Device::catalog_key(&device).and_then(|device| {
+            let (_, canonical) = canonicalize(&qasm, |_| Ok(())).ok()?;
+            Some(RouteKey::new(canonical, device, router, alpha, sim))
+        }),
+        _ => None,
+    };
+    key.map_or_else(
+        || fnv1a_extend(FNV_OFFSET, line.as_bytes()),
+        |key| key.shard_fnv(),
+    )
 }
 
 /// The HRW weight of `backend` for `key`: each backend scores the key
@@ -936,9 +925,12 @@ mod tests {
             shard_key(&spaced),
             "formatting must not split a circuit across shards"
         );
-        // Device case-insensitivity matches the backends' lookup.
-        let upper = compact.replace("\"q20\"", "\"Q20\"");
-        assert_eq!(shard_key(&compact), shard_key(&upper));
+        // Device case and the device's own name resolve to one catalog
+        // key, as in the backends' lookup.
+        for device in ["Q20", "IBM Q20 Tokyo", "ibm q20 TOKYO"] {
+            let renamed = compact.replace("\"q20\"", &format!("\"{device}\""));
+            assert_eq!(shard_key(&compact), shard_key(&renamed), "{device}");
+        }
         // Different router, different placement key.
         let sabre = compact.replace("\"codar\"", "\"sabre\"");
         assert_ne!(shard_key(&compact), shard_key(&sabre));

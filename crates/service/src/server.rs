@@ -24,7 +24,7 @@
 //! handled by one thread; concurrent streams share the worker pool and
 //! the cache.
 
-use crate::cache::{fnv1a_extend, key_material, CacheStats, ShardedCache, FNV_OFFSET};
+use crate::cache::{CacheStats, RouteKey, ShardedCache};
 use crate::faults::{FaultAction, FaultInjector, FaultPlan, KILL_EXIT_CODE};
 use crate::json::escape;
 use crate::metrics::{ServiceMetrics, PHASE_NAMES, VERB_NAMES};
@@ -40,7 +40,7 @@ use codar_arch::{CalibrationSnapshot, Device, FidelityModel};
 use codar_circuit::decompose::decompose_three_qubit_gates;
 use codar_circuit::from_qasm::{circuit_from_flat, circuit_to_qasm};
 use codar_circuit::Circuit;
-use codar_engine::{Backend, RouterKind, RouterVariant};
+use codar_engine::{Backend, RouterKind};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
@@ -123,7 +123,7 @@ struct Inner {
     /// Preset catalog: (lookup key, shared device). Devices are built
     /// once at startup so their all-pairs distance matrices are paid
     /// once, never per request.
-    catalog: Vec<(String, Arc<Device>)>,
+    catalog: Vec<(&'static str, Arc<Device>)>,
     cache: Arc<ShardedCache>,
     metrics: Arc<ServiceMetrics>,
     queue: Arc<Bounded<RouteJob>>,
@@ -163,9 +163,9 @@ pub struct Service {
 impl Service {
     /// Builds the device catalog and starts the worker pool.
     pub fn start(config: ServiceConfig) -> Service {
-        let catalog: Vec<(String, Arc<Device>)> = Device::presets()
+        let catalog: Vec<(&'static str, Arc<Device>)> = Device::presets()
             .into_iter()
-            .map(|(key, device)| (key.to_string(), Arc::new(device)))
+            .map(|(key, device)| (key, Arc::new(device)))
             .collect();
         let cache = Arc::new(ShardedCache::new(
             config.cache_capacity,
@@ -202,15 +202,17 @@ impl Service {
         }
     }
 
-    /// Resolves a device by preset key or canonical name
-    /// (case-insensitive).
-    fn lookup_device(&self, name: &str) -> Option<Arc<Device>> {
-        let wanted = name.to_ascii_lowercase();
-        self.inner
-            .catalog
-            .iter()
-            .find(|(key, device)| *key == wanted || device.name().to_ascii_lowercase() == wanted)
-            .map(|(_, device)| Arc::clone(device))
+    /// Resolves a device name to its catalog key and shared device
+    /// through [`Device::catalog_key`], the resolver the proxy uses too.
+    fn lookup_device(&self, name: &str) -> Result<(&'static str, Arc<Device>), String> {
+        let catalog = &self.inner.catalog;
+        Device::catalog_key(name)
+            .and_then(|wanted| catalog.iter().find(|(key, _)| *key == wanted))
+            .map(|(key, device)| (*key, Arc::clone(device)))
+            .ok_or_else(|| {
+                let known: Vec<&str> = catalog.iter().map(|(key, _)| *key).collect();
+                format!("unknown device `{name}` (known: {})", known.join(", "))
+            })
     }
 
     /// Whether a `shutdown` request has been served.
@@ -426,12 +428,9 @@ impl Service {
         if self.shutdown_requested() {
             return fail("draining: shutting down, not accepting new route work".to_string());
         }
-        let Some(device) = self.lookup_device(device_name) else {
-            let known: Vec<&str> = self.inner.catalog.iter().map(|(k, _)| k.as_str()).collect();
-            return fail(format!(
-                "unknown device `{device_name}` (known: {})",
-                known.join(", ")
-            ));
+        let (device_key, device) = match self.lookup_device(device_name) {
+            Ok(found) => found,
+            Err(message) => return fail(message),
         };
         let calibration = self.active_calibration(device.name());
         if router == RouterKind::CodarCal && calibration.is_none() {
@@ -441,7 +440,6 @@ impl Service {
                 device.name()
             ));
         }
-        let alpha = alpha.unwrap_or(DEFAULT_CAL_ALPHA);
         // Canonicalization (QASM parse → ≤2-qubit decompose → fit
         // check → re-serialize) is one traced phase bracketing the
         // whole block, recorded whether it succeeds or fails, so the
@@ -468,74 +466,30 @@ impl Service {
             Ok(pair) => pair,
             Err(message) => return fail(message),
         };
-        let seed_text = self.inner.config.seed.to_string();
-        // The active snapshot's version is part of every route key (0
-        // = no snapshot): a calibration reload therefore misses every
-        // stale entry instead of serving it. codar-cal keys also fold
-        // in the blend weight — different alphas are different routes.
-        let cal_version = calibration
-            .as_ref()
-            .map_or(0, |(s, _)| s.version)
-            .to_string();
-        // The exact bit pattern, not a rounded decimal: the router uses
-        // the exact f64, so two alphas closer than any fixed precision
-        // can still route differently and must not share a cache entry.
-        // `auto` folds it in too (alpha configures the portfolio's
-        // codar-cal member); every other router keeps the historical
-        // empty element, so pre-existing key bytes are untouched.
-        let alpha_text = if router == RouterKind::CodarCal || router == RouterKind::Portfolio {
-            format!("{:016x}", alpha.to_bits())
-        } else {
-            String::new()
-        };
-        // A `sim` request adds one trailing key element; sim-less
-        // requests keep the historical 6-element material byte for
-        // byte, so existing cache entries (and the golden fixtures
-        // that hash them) are untouched.
-        let mut parts: Vec<&str> = vec![
-            &canonical,
-            device.name(),
-            router.name(),
-            &seed_text,
-            &cal_version,
-            &alpha_text,
-        ];
-        if let Some(backend) = sim {
-            parts.push(backend.name());
+        let mut key = RouteKey::new(canonical, device_key, router, alpha, sim);
+        key.seed = self.inner.config.seed;
+        key.cal_version = calibration.as_ref().map_or(0, |(s, _)| s.version);
+        // An `auto` request with win history for this (device,
+        // circuit-class) is bound to the leader now and probes the
+        // cache (exploit). Without history the winner is only known
+        // after the race: the worker sets the member (explore) and the
+        // probe below is skipped.
+        if router == RouterKind::Portfolio {
+            key.member = metrics.portfolio_leader(device.name(), &circuit_class(&circuit));
+            ServiceMetrics::bump(if key.member.is_some() {
+                &metrics.portfolio_exploit
+            } else {
+                &metrics.portfolio_explore
+            });
         }
-        let mut material = key_material(&parts);
-        // `auto` requests append one more element: the member label the
-        // result is bound to. With win history for this (device,
-        // circuit-class) the leader is known now — key on it and probe
-        // the cache (exploit). Without history the winner is only known
-        // after the race, so the worker finalizes the key (explore) and
-        // the probe below is skipped. Non-`auto` requests never reach
-        // this branch: their material stays byte-identical to before.
-        let class = circuit_class(&circuit);
-        let leader = if router == RouterKind::Portfolio {
-            let leader = metrics.portfolio_leader(device.name(), &class);
-            match &leader {
-                Some(label) => {
-                    ServiceMetrics::bump(&metrics.portfolio_exploit);
-                    material.push('\0');
-                    material.push_str(label);
-                }
-                None => ServiceMetrics::bump(&metrics.portfolio_explore),
-            }
-            leader
-        } else {
-            None
-        };
-        let explore = router == RouterKind::Portfolio && leader.is_none();
-        let key = fnv1a_extend(FNV_OFFSET, material.as_bytes());
         let lookup_started = Instant::now();
         // Explore requests cannot hit: their final key is unknown until
         // the portfolio has raced. The lookup phase is still recorded so
         // the span set stays a pure function of the request type.
-        let cached = if explore {
+        let cached = if key.explores() {
             None
         } else {
-            self.inner.cache.get(key, &material)
+            self.inner.cache.get(&key)
         };
         if let Some(ctx) = ctx.as_mut() {
             ctx.sample(
@@ -558,44 +512,11 @@ impl Service {
             return body.as_ref().to_string();
         }
         let (reply, result) = mpsc::channel();
-        let (snapshot, model) = match calibration {
-            Some((snapshot, model)) => (Some(snapshot), Some(model)),
-            None => (None, None),
-        };
-        // Exploit jobs route just the leader; explore jobs race the
-        // whole portfolio. A leader label that no longer names a member
-        // (it can only come from the member labels, but be defensive)
-        // degrades to a full explore-style race under the exploit key.
-        let members = if router == RouterKind::Portfolio {
-            let all = RouterVariant::portfolio_members(alpha);
-            match &leader {
-                Some(label) => {
-                    let picked: Vec<RouterVariant> =
-                        all.iter().filter(|m| &m.label == label).cloned().collect();
-                    if picked.is_empty() {
-                        all
-                    } else {
-                        picked
-                    }
-                }
-                None => all,
-            }
-        } else {
-            Vec::new()
-        };
         let job = RouteJob {
             key,
-            material,
             circuit,
             device,
-            router,
-            alpha,
-            members,
-            class,
-            explore,
-            sim,
-            snapshot,
-            model,
+            calibration,
             t0,
             enqueued: Instant::now(),
             reply,
@@ -641,12 +562,9 @@ impl Service {
             ServiceMetrics::bump(&metrics.errors);
             error_body(&message)
         };
-        let Some(device) = self.lookup_device(device_name) else {
-            let known: Vec<&str> = self.inner.catalog.iter().map(|(k, _)| k.as_str()).collect();
-            return fail(format!(
-                "unknown device `{device_name}` (known: {})",
-                known.join(", ")
-            ));
+        let device = match self.lookup_device(device_name) {
+            Ok((_, device)) => device,
+            Err(message) => return fail(message),
         };
         match action {
             CalAction::Get => {
@@ -1324,8 +1242,8 @@ mod tests {
         assert_eq!(first, second);
         let stats = service.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 0));
-        // A fixed-router request keeps its historical cache identity
-        // and never reports a winner.
+        // A fixed-router request's key has no member, and its reply
+        // never reports a winner.
         let fixed = service.handle_line(&route_line("q5", "codar", GHZ3));
         assert!(!fixed.contains("\"chosen\""), "{fixed}");
         // Plain `metrics` and `stats` bodies stay byte-frozen: the

@@ -16,15 +16,16 @@
 //! the reply as [`PhaseSample`]s so the serving thread can assemble
 //! the request's span tree in one deterministic place.
 
-use crate::cache::{fnv1a_extend, ShardedCache, FNV_OFFSET};
+use crate::cache::{RouteKey, ShardedCache};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{error_body, RouteOutcome};
 use crate::queue::Bounded;
+use crate::server::circuit_class;
 use crate::trace::{phase_sample, PhaseSample};
 use codar_arch::{CalibrationSnapshot, Device, FidelityModel};
 use codar_circuit::from_qasm::circuit_to_qasm;
 use codar_circuit::Circuit;
-use codar_engine::{Backend, RouteWorker, RouterKind, RouterVariant};
+use codar_engine::{RouteWorker, RouterKind, RouterVariant};
 use codar_router::verify::{check_coupling, check_equivalence};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -33,44 +34,22 @@ use std::time::Instant;
 /// One queued route request, ready to route.
 #[derive(Debug)]
 pub struct RouteJob {
-    /// Result-cache key of the request (already probed: a miss).
-    pub key: u64,
-    /// Full request identity ([`crate::cache::key_material`]), stored
-    /// with the cache entry so key collisions cannot alias.
-    pub material: String,
+    /// The request's identity (already probed: a miss). It carries the
+    /// router, alpha and sim the worker runs. An `auto` key without a
+    /// member is an explore job: the worker races every member, sets
+    /// the winner as the member for the cache insert, and credits the
+    /// win *before* the reply goes out, so the caller's next `auto`
+    /// request already sees the leader.
+    pub key: RouteKey,
     /// The parsed, ≤2-qubit-decomposed logical circuit.
     pub circuit: Circuit,
     /// Target device (shared; distance matrices are per-device).
     pub device: Arc<Device>,
-    /// Router to run.
-    pub router: RouterKind,
-    /// Calibration blend weight (`codar-cal`; for `auto` it configures
-    /// the portfolio's codar-cal member).
-    pub alpha: f64,
-    /// Portfolio members to race (`auto` only; empty for fixed
-    /// routers). Explore jobs carry the full member list; exploit jobs
-    /// carry just the class leader.
-    pub members: Vec<RouterVariant>,
-    /// Circuit class of the request (`auto` only; wins are tallied per
-    /// (device, class)). Empty for fixed routers.
-    pub class: String,
-    /// `auto` with no win history for this (device, class): the worker
-    /// races every member, appends the winning label to `material`,
-    /// recomputes `key` for the cache insert, and credits the win
-    /// *before* the reply goes out — the caller's next `auto` request
-    /// already sees the leader.
-    pub explore: bool,
-    /// Requested simulation backend for differential verification
-    /// (`None` = syntactic verification only, the historical path).
-    pub sim: Option<Backend>,
     /// The device's active calibration snapshot at probe time (its
-    /// version is already folded into `key`/`material`). `codar-cal`
-    /// routes against it; any router's response reports EPS under it.
-    pub snapshot: Option<Arc<CalibrationSnapshot>>,
-    /// The snapshot's EPS model, derived once at `calibration set`
-    /// time and shared — workers never rebuild the per-edge tables.
-    /// Present iff `snapshot` is.
-    pub model: Option<Arc<FidelityModel>>,
+    /// version is already in `key`) with its EPS model, derived once at
+    /// `calibration set` time and shared. `codar-cal` routes against
+    /// the snapshot; any router's response reports EPS under it.
+    pub calibration: Option<(Arc<CalibrationSnapshot>, Arc<FidelityModel>)>,
     /// When the serving thread received the request line — the zero of
     /// the request's trace timeline; phase offsets are measured
     /// against it.
@@ -146,27 +125,22 @@ pub fn spawn_pool(
                         if ok {
                             ServiceMetrics::bump(&metrics.routed);
                             // Explore jobs only learn their winner here,
-                            // so the cache identity is finalized by the
-                            // worker: the winning label joins the
-                            // material and the key is recomputed — the
-                            // same bytes the serving thread probes with
+                            // so the worker binds the key to it: the
+                            // same key the serving thread probes with
                             // once this class has a leader.
-                            let (key, material) = match (&chosen, job.explore) {
-                                (Some(label), true) => {
-                                    let material = format!("{}\0{label}", job.material);
-                                    (fnv1a_extend(FNV_OFFSET, material.as_bytes()), material)
-                                }
-                                _ => (job.key, job.material.clone()),
-                            };
-                            if cache.enabled() {
-                                cache.insert(key, material, Arc::from(body.as_str()));
+                            let explore = job.key.explores();
+                            let mut key = job.key;
+                            if explore {
+                                key.member = chosen;
                             }
+                            cache.insert(&key, Arc::from(body.as_str()));
                             // Credit the win before the reply: the
                             // caller synchronizes on the reply channel,
                             // so its next `auto` request observes the
                             // updated table.
-                            if let (Some(label), true) = (&chosen, job.explore) {
-                                metrics.record_portfolio_win(job.device.name(), &job.class, label);
+                            if let (true, Some(label)) = (explore, &key.member) {
+                                let class = circuit_class(&job.circuit);
+                                metrics.record_portfolio_win(job.device.name(), &class, label);
                             }
                         } else {
                             ServiceMetrics::bump(&metrics.errors);
@@ -219,31 +193,43 @@ fn route_job(
     }
     let from = Instant::now();
     let initial = worker.initial_mapping(&job.circuit, &job.device, seed);
-    let (routed, chosen) = if job.router == RouterKind::Portfolio {
-        match worker.route_portfolio(
-            &job.circuit,
-            &job.device,
-            &job.members,
-            Some(&initial),
-            job.snapshot.as_deref(),
-            job.model.as_deref(),
-        ) {
-            Ok(outcome) => (Ok(outcome.routed), Some(outcome.chosen)),
-            Err(e) => (Err(e), None),
-        }
-    } else {
-        let mut variant = RouterVariant::of_kind(job.router);
-        variant.codar.cal_alpha = job.alpha;
-        (
-            worker.route(
+    let snapshot = job
+        .calibration
+        .as_ref()
+        .map(|(snapshot, _)| snapshot.as_ref());
+    let (routed, chosen) = match (job.key.router, job.key.alpha_bits.map(f64::from_bits)) {
+        // Explore jobs race the whole portfolio; exploit jobs route
+        // just the leader their key is bound to. A leader that names no
+        // member (it can only come from the member labels, but be
+        // defensive) races them all under the exploit key.
+        (RouterKind::Portfolio, Some(alpha)) => {
+            let mut members = RouterVariant::portfolio_members(alpha);
+            if let Some(leader) = &job.key.member {
+                if members.iter().any(|m| &m.label == leader) {
+                    members.retain(|m| &m.label == leader);
+                }
+            }
+            let model = job.calibration.as_ref().map(|(_, model)| model.as_ref());
+            match worker.route_portfolio(
                 &job.circuit,
                 &job.device,
-                &variant,
-                Some(initial),
-                job.snapshot.as_deref(),
-            ),
-            None,
-        )
+                &members,
+                Some(&initial),
+                snapshot,
+                model,
+            ) {
+                Ok(outcome) => (Ok(outcome.routed), Some(outcome.chosen)),
+                Err(e) => (Err(e), None),
+            }
+        }
+        (router, alpha) => {
+            let mut variant = RouterVariant::of_kind(router);
+            if let Some(alpha) = alpha {
+                variant.codar.cal_alpha = alpha;
+            }
+            let routed = worker.route(&job.circuit, &job.device, &variant, Some(initial), snapshot);
+            (routed, None)
+        }
     };
     phases.push(phase_sample("route", job.t0, from, Instant::now()));
     let routed = match routed {
@@ -272,7 +258,7 @@ fn route_job(
     // check and are *reported back*: the resolved backend appears in
     // the response even when `auto` lands on dense, so a client can
     // always see what actually ran — no silent fallback.
-    let sim = match job.sim {
+    let sim = match job.key.sim {
         Some(backend) => {
             let from = Instant::now();
             let checked = worker.simulation_check(&job.circuit, &routed, backend);
@@ -307,16 +293,13 @@ fn route_job(
     // With an active snapshot every route response (any router)
     // reports the routed circuit's EPS under it, alongside the
     // snapshot version the result is bound to.
-    let calibration = match (&job.snapshot, &job.model) {
-        (Some(snapshot), Some(model)) => Some((
-            snapshot.version,
-            model.success_probability(&routed.circuit, job.device.durations()),
-        )),
-        _ => None,
-    };
+    let calibration = job.calibration.as_ref().map(|(snapshot, model)| {
+        let eps = model.success_probability(&routed.circuit, job.device.durations());
+        (snapshot.version, eps)
+    });
     let outcome = RouteOutcome {
         device: job.device.name().to_string(),
-        router: job.router,
+        router: job.key.router,
         qubits: job.circuit.num_qubits(),
         input_gates: job.circuit.len(),
         weighted_depth: routed.weighted_depth,
@@ -337,6 +320,7 @@ fn route_job(
 mod tests {
     use super::*;
     use crate::json::Json;
+    use codar_engine::Backend;
 
     fn job_for(source: &str, router: RouterKind) -> (RouteJob, mpsc::Receiver<RouteReply>) {
         let circuit = codar_circuit::from_qasm::circuit_from_source(source).expect("parse");
@@ -344,18 +328,10 @@ mod tests {
         let now = Instant::now();
         (
             RouteJob {
-                key: 1,
-                material: format!("{source}\0q5\0{}\00", router.name()),
+                key: RouteKey::new(source.to_string(), "q5", router, None, None),
                 circuit,
                 device: Arc::new(Device::ibm_q5_yorktown()),
-                router,
-                alpha: 0.0,
-                members: Vec::new(),
-                class: String::new(),
-                explore: false,
-                sim: None,
-                snapshot: None,
-                model: None,
+                calibration: None,
                 t0: now,
                 enqueued: now,
                 reply: tx,
@@ -398,7 +374,7 @@ mod tests {
             "qreg q[4]; h q[0]; cx q[0], q[3]; cx q[1], q[2];",
             RouterKind::Codar,
         );
-        job.sim = Some(Backend::Auto);
+        job.key.sim = Some(Backend::Auto);
         let mut worker = RouteWorker::new();
         let (body, ok, phases, _) = route_job(&mut worker, &job, 0);
         assert!(ok, "{body}");
@@ -412,7 +388,7 @@ mod tests {
         assert_eq!(parsed.get("sim").and_then(Json::as_str), Some("stabilizer"));
         // An explicit dense request is honored and still reported —
         // the field is present exactly when the request asked.
-        job.sim = Some(Backend::Dense);
+        job.key.sim = Some(Backend::Dense);
         let (tx, _rx2) = mpsc::channel();
         job.reply = tx;
         let (body, ok, _, _) = route_job(&mut worker, &job, 0);
@@ -422,7 +398,7 @@ mod tests {
         // A backend that cannot run the circuit is a clean error body
         // whose phase list stops at the failing phase.
         let (mut t_job, _rx3) = job_for("qreg q[3]; t q[0]; cx q[0], q[2];", RouterKind::Codar);
-        t_job.sim = Some(Backend::Stabilizer);
+        t_job.key.sim = Some(Backend::Stabilizer);
         let (body, ok, phases, _) = route_job(&mut worker, &t_job, 0);
         assert!(!ok);
         assert!(body.contains("simulation check failed"), "{body}");
@@ -452,21 +428,15 @@ mod tests {
 
     #[test]
     fn portfolio_explore_jobs_finalize_key_and_credit_the_win() {
-        use crate::cache::{fnv1a_extend, FNV_OFFSET};
-
         let queue = Arc::new(Bounded::new(4));
         let cache = Arc::new(ShardedCache::new(8, 2));
         let metrics = Arc::new(ServiceMetrics::new());
         let handles = spawn_pool(1, &queue, &cache, &metrics, 0);
-        let (mut job, rx) = job_for(
+        let (job, rx) = job_for(
             "qreg q[4]; h q[0]; cx q[0], q[3]; cx q[1], q[2];",
             RouterKind::Portfolio,
         );
-        job.alpha = 0.5;
-        job.members = RouterVariant::portfolio_members(0.5);
-        job.class = "q4g2".to_string();
-        job.explore = true;
-        let base_material = job.material.clone();
+        let mut key = job.key.clone();
         queue.try_push(job).unwrap();
         let reply = rx.recv().expect("worker replies");
         let parsed = Json::parse(&reply.body).unwrap();
@@ -491,14 +461,11 @@ mod tests {
                 .as_deref(),
             Some(chosen.as_str())
         );
-        // ...and the body was cached under the winner-qualified key,
-        // the same bytes an exploit probe recomputes.
-        let material = format!("{base_material}\0{chosen}");
-        let key = fnv1a_extend(FNV_OFFSET, material.as_bytes());
-        assert_eq!(
-            cache.get(key, &material).as_deref(),
-            Some(reply.body.as_str())
-        );
+        // ...and the body was cached under the winner-bound key, the
+        // key an exploit probe builds.
+        assert_eq!(cache.get(&key), None, "explore keys are never filled");
+        key.member = Some(chosen);
+        assert_eq!(cache.get(&key).as_deref(), Some(reply.body.as_str()));
         queue.close();
         for handle in handles {
             handle.join().expect("worker exits cleanly");

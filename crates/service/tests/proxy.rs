@@ -11,7 +11,7 @@ use codar_circuit::from_qasm::circuit_to_qasm;
 use codar_service::fuzz::InvariantChecker;
 use codar_service::json::{escape, Json};
 use codar_service::protocol::error_body;
-use codar_service::proxy::{Proxy, ProxyConfig};
+use codar_service::proxy::{shard_key, Proxy, ProxyConfig};
 use codar_service::{FaultPlan, Service, ServiceConfig, ShardFleet};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -419,4 +419,111 @@ fn shutdown_broadcast_reaches_every_shard() {
         );
     }
     fleet.shutdown();
+}
+
+/// A route line carrying `fields` (raw JSON members) for `circuit`.
+/// `spaced` reorders the members and pads the JSON with whitespace.
+fn keyed_line(id: Option<u64>, device: &str, fields: &str, circuit: &str, spaced: bool) -> String {
+    let id = id.map_or(String::new(), |id| format!("\"id\":{id},"));
+    let (device, circuit) = (escape(device), escape(circuit));
+    if spaced {
+        format!("{{ \"circuit\" : {circuit} , {fields} , {id} \"device\" : {device} , \"type\" : \"route\" }}")
+    } else {
+        format!("{{{id}\"type\":\"route\",\"device\":{device},{fields},\"circuit\":{circuit}}}")
+    }
+}
+
+/// The daemon's route key and the proxy's shard key partition route
+/// lines identically. Lines that differ only in formatting, `id`,
+/// device case and device alias are one class in both tiers: a daemon
+/// that served one line of a class answers every other line from its
+/// cache, and the proxy gives them one shard key. Lines that differ in
+/// router, alpha (where the router reads it), sim or circuit are
+/// distinct classes in both: none hits another's cache entry, and their
+/// shard keys differ.
+#[test]
+fn daemon_and_proxy_keys_partition_route_lines_identically() {
+    let ghz = (
+        "OPENQASM 2.0; include \"qelib1.inc\"; qreg q[3]; h q[0]; cx q[0], q[1]; cx q[1], q[2];",
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n\nqreg q[3];\n  h q[0];\n  cx q[0],q[1];\ncx q[1] ,q[2];\n",
+    );
+    let pair = (
+        "qreg q[3]; h q[0]; cx q[0], q[2];",
+        "qreg q[3];\nh q[0];\ncx q[0],q[2];",
+    );
+    // (request members, (circuit, the same circuit reformatted)).
+    let classes = [
+        ("\"router\":\"codar\"", ghz),
+        ("\"router\":\"sabre\"", ghz),
+        ("\"router\":\"codar-cal\"", ghz),
+        ("\"router\":\"codar-cal\",\"alpha\":0.25", ghz),
+        ("\"router\":\"auto\"", ghz),
+        ("\"router\":\"auto\",\"alpha\":0.25", ghz),
+        ("\"router\":\"codar\",\"sim\":\"auto\"", ghz),
+        ("\"router\":\"codar\"", pair),
+    ];
+    let members = |(fields, (compact, reformatted)): (&str, (&str, &str))| -> Vec<String> {
+        vec![
+            keyed_line(None, "q20", fields, compact, false),
+            keyed_line(Some(7), "q20", fields, compact, false),
+            keyed_line(None, "q20", fields, reformatted, true),
+            keyed_line(Some(3), "Q20", fields, reformatted, false),
+            keyed_line(None, "IBM Q20 Tokyo", fields, compact, false),
+            keyed_line(Some(9), "ibm q20 TOKYO", fields, reformatted, true),
+        ]
+    };
+    let daemon = || {
+        let service = Service::start(ServiceConfig::default());
+        let reply = service.handle_line(
+            "{\"type\":\"calibration\",\"action\":\"set\",\"device\":\"q20\",\
+             \"synthetic\":{\"seed\":11,\"drift\":2}}",
+        );
+        assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+        service
+    };
+    // Send `line`; whether the daemon answered it from its cache.
+    let hit = |service: &Service, line: &str| {
+        let before = service.cache_stats().hits;
+        let reply = service.handle_line(line);
+        assert!(reply.contains("\"status\":\"ok\""), "{line} -> {reply}");
+        service.cache_stats().hits > before
+    };
+
+    // Distinct classes: no representative hits an earlier one, and the
+    // proxy keys them apart.
+    let shared = daemon();
+    let mut representatives: Vec<u64> = Vec::new();
+    for class in classes {
+        let line = &members(class)[0];
+        assert!(
+            !hit(&shared, line),
+            "daemon merged `{line}` into an earlier class"
+        );
+        let key = shard_key(line);
+        assert!(
+            !representatives.contains(&key),
+            "proxy merged `{line}` into an earlier class"
+        );
+        representatives.push(key);
+    }
+    // One class: every surface form hits the entry its representative
+    // filled, and the proxy keys it identically.
+    for (class, key) in classes.into_iter().zip(representatives) {
+        let service = daemon();
+        let lines = members(class);
+        assert!(!hit(&service, &lines[0]));
+        for line in &lines[1..] {
+            assert!(
+                hit(&service, line),
+                "daemon split `{line}` from `{}`",
+                lines[0]
+            );
+            assert_eq!(
+                shard_key(line),
+                key,
+                "proxy split `{line}` from `{}`",
+                lines[0]
+            );
+        }
+    }
 }

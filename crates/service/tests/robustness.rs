@@ -4,8 +4,9 @@
 //! request lines — deep nesting, mispaired surrogate escapes, huge and
 //! malformed numbers, truncated frames, raw control characters,
 //! oversized keys. Replayed against the real `coded --stdin` binary,
-//! the daemon must (a) never panic or crash, (b) emit exactly one
-//! well-formed JSON reply per line, and (c) reply deterministically.
+//! the daemon must (a) never panic or crash, nor reach a caught worker
+//! panic (`internal error`), (b) emit exactly one well-formed JSON
+//! reply per line, and (c) reply deterministically.
 //! (The corpus is valid UTF-8 by construction: the line reader
 //! terminates the stream on invalid UTF-8 before any request parsing
 //! runs, which is transport framing, not protocol handling.)
@@ -55,6 +56,10 @@ fn hostile_corpus_gets_one_well_formed_error_reply_per_line() {
             status.is_some(),
             "reply to `{request}` lacks a status: {reply}"
         );
+        assert!(
+            !reply.contains("internal error"),
+            "hostile line `{request}` reached a panic: {reply}"
+        );
         // Every corpus line is hostile; none may succeed as a route.
         assert_ne!(
             parsed.get("type").and_then(Json::as_str),
@@ -98,4 +103,29 @@ fn deep_calibration_snapshot_hits_the_nesting_cap() {
         reply.contains("nesting deeper than 128 levels"),
         "reply to the 200-deep snapshot: {reply}"
     );
+}
+
+/// Barriers that name one qubit twice (`barrier q[0],q[0]`, or a whole
+/// register next to one of its own qubits) are rejected in QASM
+/// lowering with the error `cx q[0],q[0]` gets, before any router,
+/// whose circuit DAG assumes distinct operands, sees them.
+#[test]
+fn repeated_barrier_operands_get_the_repeated_operand_error() {
+    let corpus = std::fs::read_to_string(corpus_path()).expect("read corpus");
+    let requests: Vec<&str> = corpus.lines().filter(|l| !l.trim().is_empty()).collect();
+    let replies = replay();
+    let replies: Vec<&str> = replies.lines().collect();
+    let barriers: Vec<usize> = (0..requests.len())
+        .filter(|&i| requests[i].contains("barrier q"))
+        .collect();
+    assert_eq!(barriers.len(), 2, "the corpus has both barrier lines");
+    for i in barriers {
+        assert_eq!(
+            replies[i],
+            "{\"type\":\"error\",\"status\":\"error\",\"error\":\"QASM error: semantic error: \
+             gate `barrier` applied with repeated qubit operand\"}",
+            "reply to `{}`",
+            requests[i]
+        );
+    }
 }
