@@ -35,6 +35,7 @@
 //! facility; production daemons run without it.
 
 use codar_service::faults::FaultPlan;
+use codar_service::server::DEFAULT_DRAIN;
 use codar_service::{Service, ServiceConfig};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -51,7 +52,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         config: ServiceConfig::default(),
         stdin: false,
         listen: "127.0.0.1:7878".to_string(),
-        drain: Duration::from_millis(5000),
+        drain: DEFAULT_DRAIN,
     };
     let value = |args: &[String], i: usize, flag: &str| -> Result<String, String> {
         args.get(i + 1)
@@ -144,7 +145,7 @@ fn run(args: &Args) -> Result<(), String> {
             args.config.cache_capacity,
         );
         service
-            .serve_tcp_with_drain(listener, args.drain)
+            .serve_tcp(listener, args.drain)
             .map_err(|e| format!("accept loop failed: {e}"))
     }
 }

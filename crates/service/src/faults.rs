@@ -351,7 +351,7 @@ impl ShardFleet {
             };
             let service = Service::start(config);
             let server = service.clone();
-            let accept = std::thread::spawn(move || server.serve_tcp_with_drain(listener, drain));
+            let accept = std::thread::spawn(move || server.serve_tcp(listener, drain));
             shards.push(FleetShard {
                 addr,
                 service,
@@ -408,7 +408,7 @@ impl ShardFleet {
                     let drain = self.drain;
                     shard.service = service;
                     shard.accept = Some(std::thread::spawn(move || {
-                        server.serve_tcp_with_drain(listener, drain)
+                        server.serve_tcp(listener, drain)
                     }));
                     return Ok(());
                 }

@@ -713,7 +713,7 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let server = {
             let service = service.clone();
-            std::thread::spawn(move || service.serve_tcp(listener))
+            std::thread::spawn(move || service.serve_tcp(listener, crate::server::DEFAULT_DRAIN))
         };
         let open = run_open_loop(&config, &addr).unwrap();
         let mut shutdown = TcpTransport::connect(&addr).unwrap();

@@ -1,19 +1,31 @@
-//! Daemon counters, latency histograms and the loadgen summary.
+//! Daemon counters, latency histograms, the tiered metrics snapshot and
+//! the loadgen summary.
 //!
-//! [`ServiceMetrics`] are the daemon-side request counters reported by
-//! the `stats` request — plain atomics, updated on every request.
-//! [`Histogram`] adds where-did-the-time-go depth: fixed log2-bucket
-//! latency histograms per verb, for queue wait, and for every routing
-//! phase, scraped via `{"type":"metrics","hist":true}` (the plain
-//! `metrics` body is byte-frozen by the golden fixtures, so the
-//! histogram fields are strictly opt-in). [`LatencySummary`] is the
-//! client-side view: `loadgen` records one microsecond sample per
-//! request and summarizes them here. Latency is a *measurement*
-//! (inherently nondeterministic), so it is kept out of the
-//! deterministic loadgen summary JSON, exactly like the engine keeps
-//! `RunStats` out of its `Summary`.
+//! [`ServiceMetrics`] are the daemon-side request counters (plain
+//! atomics) and [`Histogram`]s the fixed log2-bucket latency histograms
+//! per verb, for queue wait and per routing phase. Both tiers report
+//! their counters as a [`Snapshot`]: one ordered list of typed fields,
+//! each tagged with the lowest [`Tier`] that shows it, `Stats` ⊂
+//! `Metrics` ⊂ `Hist`. [`Snapshot::render`] writes the `stats`, plain
+//! `metrics` or `{"type":"metrics","hist":true}` body, so each body's
+//! fields are an ordered subsequence of the next one's, and plain
+//! `metrics` is a prefix of `hist`. One rule covers the daemon's cache
+//! counters: a [`Snapshot::group`] nests as `"cache":{…}` in `stats`
+//! and flattens to `cache_<name>` above it. The golden fixtures pin the
+//! plain `stats` and `metrics` bytes, so a new counter (such as a router
+//! counter) goes in as one `Hist`-tier field. Every field is a scalar:
+//! a bucket row is one comma-joined string.
+//!
+//! [`LatencySummary`] is the client-side view: `loadgen` records one
+//! microsecond sample per request and summarizes them here. Latency is
+//! a *measurement* (inherently nondeterministic), so it is kept out of
+//! the deterministic loadgen summary JSON, exactly like the engine
+//! keeps `RunStats` out of its `Summary`.
 
+use crate::json::escape;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -103,17 +115,147 @@ impl Histogram {
             .collect();
         counts.join(",")
     }
+}
 
-    /// The three extended-metrics fields of this histogram, named
-    /// `hist_<name>_total` / `_sum_us` / `_buckets`, comma-separated
-    /// and ready to splice into a flat JSON body.
-    pub fn json_fields(&self, name: &str) -> String {
-        format!(
-            "\"hist_{name}_total\":{},\"hist_{name}_sum_us\":{},\"hist_{name}_buckets\":\"{}\"",
-            self.total(),
-            self.sum_us(),
-            self.render_buckets()
-        )
+/// The lowest body a [`Snapshot`] field appears in; a field shows in
+/// its own tier and every tier above it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Tier {
+    /// The `stats` body.
+    Stats,
+    /// The plain `metrics` body.
+    Metrics,
+    /// The extended `{"type":"metrics","hist":true}` body.
+    Hist,
+}
+
+/// A typed [`Snapshot`] field value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A counter or gauge.
+    U64(u64),
+    /// A flag.
+    Bool(bool),
+    /// A ratio, rendered with 6 decimals.
+    F64(f64),
+    /// A string, rendered escaped.
+    Str(String),
+}
+
+macro_rules! value_from {
+    ($($from:ty => |$v:ident| $value:expr),* $(,)?) => {$(
+        impl From<$from> for Value {
+            fn from($v: $from) -> Value {
+                $value
+            }
+        }
+    )*};
+}
+
+value_from! {
+    u64 => |v| Value::U64(v),
+    usize => |v| Value::U64(v as u64),
+    bool => |v| Value::Bool(v),
+    f64 => |v| Value::F64(v),
+    String => |v| Value::Str(v),
+}
+
+#[derive(Debug, Clone)]
+struct Field {
+    tier: Tier,
+    group: Option<&'static str>,
+    name: Cow<'static, str>,
+    value: Value,
+}
+
+/// One point-in-time reading of a tier's counters, rendered as its
+/// `stats`, `metrics` or `hist` body (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub struct Snapshot {
+    fields: Vec<Field>,
+    group: Option<&'static str>,
+}
+
+impl Snapshot {
+    /// Appends one field. Names are plain identifiers, written
+    /// unescaped.
+    pub fn push(
+        &mut self,
+        tier: Tier,
+        name: impl Into<Cow<'static, str>>,
+        value: impl Into<Value>,
+    ) -> &mut Snapshot {
+        let (group, name, value) = (self.group, name.into(), value.into());
+        debug_assert!(!name.contains(['"', '\\']), "field name `{name}`");
+        self.fields.push(Field {
+            tier,
+            group,
+            name,
+            value,
+        });
+        self
+    }
+
+    /// Appends the fields `fill` pushes as the group `name`: nested as
+    /// `"name":{…}` in `stats`, flattened to `name_<field>` above it.
+    pub fn group(&mut self, name: &'static str, fill: impl FnOnce(&mut Snapshot)) -> &mut Snapshot {
+        self.group = Some(name);
+        fill(self);
+        self.group = None;
+        self
+    }
+
+    /// Appends `hist_<name>_total`, `_sum_us` and `_buckets`, all in
+    /// the `Hist` tier.
+    pub fn histogram(&mut self, name: &str, hist: &Histogram) -> &mut Snapshot {
+        let buckets = hist.render_buckets();
+        self.push(Tier::Hist, format!("hist_{name}_total"), hist.total())
+            .push(Tier::Hist, format!("hist_{name}_sum_us"), hist.sum_us())
+            .push(Tier::Hist, format!("hist_{name}_buckets"), buckets)
+    }
+
+    /// The body of `tier`: `"type":"stats"` for [`Tier::Stats`],
+    /// `"type":"metrics"` otherwise, then every field of that tier or a
+    /// lower one, in push order.
+    pub fn render(&self, tier: Tier) -> String {
+        let kind = match tier {
+            Tier::Stats => "stats",
+            _ => "metrics",
+        };
+        let mut out = format!("{{\"type\":\"{kind}\",\"status\":\"ok\"");
+        let mut nested = None;
+        for field in self.fields.iter().filter(|f| f.tier <= tier) {
+            let nest = field.group.filter(|_| tier == Tier::Stats);
+            if nest == nested {
+                out.push(',');
+            } else {
+                if nested.is_some() {
+                    out.push('}');
+                }
+                match nest {
+                    Some(group) => {
+                        let _ = write!(out, ",\"{group}\":{{");
+                    }
+                    None => out.push(','),
+                }
+                nested = nest;
+            }
+            let _ = match field.group.filter(|_| nest.is_none()) {
+                Some(prefix) => write!(out, "\"{prefix}_{}\":", field.name),
+                None => write!(out, "\"{}\":", field.name),
+            };
+            let _ = match &field.value {
+                Value::U64(v) => write!(out, "{v}"),
+                Value::Bool(v) => write!(out, "{v}"),
+                Value::F64(v) => write!(out, "{v:.6}"),
+                Value::Str(v) => write!(out, "{}", escape(v)),
+            };
+        }
+        if nested.is_some() {
+            out.push('}');
+        }
+        out.push('}');
+        out
     }
 }
 
@@ -147,7 +289,8 @@ pub struct ServiceMetrics {
     /// Well-formed `shutdown` requests.
     pub verb_shutdown: AtomicU64,
     /// Well-formed `trace` requests (ring reads; counted like the
-    /// other verbs but kept out of the byte-frozen plain bodies).
+    /// other verbs, but a `Hist`-tier field, since the golden fixtures
+    /// pin the plain bodies).
     pub verb_trace: AtomicU64,
     /// `route` requests with `"router":"auto"` that ran the whole
     /// portfolio because the (device, circuit-class) pair had no win
@@ -159,9 +302,9 @@ pub struct ServiceMetrics {
     pub portfolio_exploit: AtomicU64,
     /// Per-(device, circuit-class, member-label) win counts, keyed
     /// `device\0class\0label`. A `BTreeMap` so iteration — and with it
-    /// the extended `metrics` body and leader election — is
-    /// deterministic. Kept out of the byte-frozen plain `metrics` and
-    /// `stats` bodies; surfaced only via `metrics` `hist:true`.
+    /// the `hist` body and leader election — is deterministic.
+    /// Reported by [`ServiceMetrics::push_portfolio`] in the `Hist`
+    /// tier only.
     pub portfolio_wins: Mutex<BTreeMap<String, u64>>,
     /// End-to-end latency per verb, indexed like [`VERB_NAMES`].
     pub hist_verbs: [Histogram; 8],
@@ -254,22 +397,28 @@ impl ServiceMetrics {
         leader.map(|(label, _)| label.to_string())
     }
 
-    /// The win-table entries as flat JSON fields
-    /// (`"portfolio_wins_<device>_<class>_<label>":count`, NUL
-    /// separators and spaces rendered as `_`), comma-*prefixed* so the
-    /// caller can splice them after the histogram fields. Empty when
-    /// the table is.
-    pub fn portfolio_win_fields(&self) -> String {
+    /// Appends the portfolio (`auto`) telemetry in the `Hist` tier: the
+    /// explore/exploit split, then one `portfolio_wins_<device>_<class>_<label>`
+    /// count per win-table entry (NUL separators and spaces rendered as
+    /// `_`), in table order.
+    pub fn push_portfolio(&self, snapshot: &mut Snapshot) {
+        let read = ServiceMetrics::read;
+        snapshot
+            .push(
+                Tier::Hist,
+                "portfolio_explore",
+                read(&self.portfolio_explore),
+            )
+            .push(
+                Tier::Hist,
+                "portfolio_exploit",
+                read(&self.portfolio_exploit),
+            );
         let wins = self.portfolio_wins.lock().expect("win table poisoned");
-        let mut out = String::new();
-        for (key, count) in wins.iter() {
-            let flat: String = key
-                .chars()
-                .map(|c| if c == '\0' || c == ' ' { '_' } else { c })
-                .collect();
-            out.push_str(&format!(",\"portfolio_wins_{flat}\":{count}"));
+        for (key, &count) in wins.iter() {
+            let flat = key.replace(['\0', ' '], "_");
+            snapshot.push(Tier::Hist, format!("portfolio_wins_{flat}"), count);
         }
-        out
     }
 }
 
@@ -462,9 +611,18 @@ mod tests {
         assert_eq!(counts[10], 1);
         assert_eq!(counts[HISTOGRAM_BUCKETS - 1], 1);
         assert_eq!(counts.iter().sum::<u64>(), hist.total());
-        let fields = hist.json_fields("route");
-        assert!(fields.starts_with("\"hist_route_total\":6,\"hist_route_sum_us\":"));
-        assert!(fields.contains("\"hist_route_buckets\":\"2,2,0"));
+        let mut snapshot = Snapshot::default();
+        snapshot.histogram("route", &hist);
+        let body = snapshot.render(Tier::Hist);
+        assert!(body.starts_with(
+            "{\"type\":\"metrics\",\"status\":\"ok\",\"hist_route_total\":6,\"hist_route_sum_us\":"
+        ));
+        assert!(body.contains(",\"hist_route_buckets\":\"2,2,0"), "{body}");
+        // Histograms are `Hist`-tier only.
+        assert_eq!(
+            snapshot.render(Tier::Metrics),
+            "{\"type\":\"metrics\",\"status\":\"ok\"}"
+        );
     }
 
     #[test]
@@ -499,12 +657,55 @@ mod tests {
             metrics.portfolio_leader("q5", "q2g1").as_deref(),
             Some("greedy")
         );
-        let fields = metrics.portfolio_win_fields();
-        assert!(fields.starts_with(','), "{fields}");
-        assert!(fields.contains("\"portfolio_wins_q20_q6g3_sabre\":2"));
-        assert!(fields.contains("\"portfolio_wins_q20_q6g3_codar\":1"));
-        assert!(fields.contains("\"portfolio_wins_q5_q2g1_greedy\":1"));
-        assert!(ServiceMetrics::new().portfolio_win_fields().is_empty());
+        let mut snapshot = Snapshot::default();
+        metrics.push_portfolio(&mut snapshot);
+        assert_eq!(
+            snapshot.render(Tier::Hist),
+            "{\"type\":\"metrics\",\"status\":\"ok\",\"portfolio_explore\":0,\
+             \"portfolio_exploit\":0,\"portfolio_wins_q20_q6g3_codar\":1,\
+             \"portfolio_wins_q20_q6g3_sabre\":2,\"portfolio_wins_q5_q2g1_greedy\":1}"
+        );
+        let mut empty = Snapshot::default();
+        ServiceMetrics::new().push_portfolio(&mut empty);
+        assert_eq!(empty.fields.len(), 2, "an empty table adds no win fields");
+    }
+
+    #[test]
+    fn snapshot_renders_each_tier_and_nests_groups_only_in_stats() {
+        let mut snapshot = Snapshot::default();
+        snapshot
+            .push(Tier::Stats, "requests", 3u64)
+            .push(Tier::Metrics, "draining", false)
+            .group("cache", |s| {
+                s.push(Tier::Stats, "hits", 1u64)
+                    .push(Tier::Stats, "hit_rate", 0.5)
+                    .push(Tier::Metrics, "shards", 8usize);
+            })
+            .push(Tier::Hist, "label", "a\"b".to_string());
+        assert_eq!(
+            snapshot.render(Tier::Stats),
+            "{\"type\":\"stats\",\"status\":\"ok\",\"requests\":3,\
+             \"cache\":{\"hits\":1,\"hit_rate\":0.500000}}"
+        );
+        assert_eq!(
+            snapshot.render(Tier::Metrics),
+            "{\"type\":\"metrics\",\"status\":\"ok\",\"requests\":3,\"draining\":false,\
+             \"cache_hits\":1,\"cache_hit_rate\":0.500000,\"cache_shards\":8}"
+        );
+        assert_eq!(
+            snapshot.render(Tier::Hist),
+            "{\"type\":\"metrics\",\"status\":\"ok\",\"requests\":3,\"draining\":false,\
+             \"cache_hits\":1,\"cache_hit_rate\":0.500000,\"cache_shards\":8,\"label\":\"a\\\"b\"}"
+        );
+        // A group closes before the next ungrouped field.
+        snapshot.push(Tier::Stats, "after", true);
+        assert!(snapshot
+            .render(Tier::Stats)
+            .ends_with("\"hit_rate\":0.500000},\"after\":true}"));
+        assert_eq!(
+            Snapshot::default().render(Tier::Stats),
+            "{\"type\":\"stats\",\"status\":\"ok\"}"
+        );
     }
 
     #[test]

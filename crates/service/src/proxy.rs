@@ -33,20 +33,18 @@
 
 use crate::cache::{fnv1a_extend, RouteKey, FNV_OFFSET};
 use crate::json::Json;
-use crate::metrics::{Histogram, ServiceMetrics};
+use crate::metrics::{Histogram, ServiceMetrics, Snapshot, Tier};
 use crate::protocol::{
     attach_id, attach_trace, overloaded_body, shutdown_body, CalAction, Request,
-    TRACE_REPLY_DEFAULT, TRACE_REPLY_MAX,
 };
-use crate::server::{canonicalize, SharedWriter};
+use crate::server::{accept_and_drain, canonicalize};
 use crate::trace::{phase_sample, TraceCtx, TraceRecorder};
 use codar_arch::Device;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -179,7 +177,7 @@ pub fn shard_key(line: &str) -> u64 {
             qasm,
             ..
         }) => Device::catalog_key(&device).and_then(|device| {
-            let (_, canonical) = canonicalize(&qasm, |_| Ok(())).ok()?;
+            let (_, canonical) = canonicalize(&qasm, preset(device)?).ok()?;
             Some(RouteKey::new(canonical, device, router, alpha, sim))
         }),
         _ => None,
@@ -188,6 +186,19 @@ pub fn shard_key(line: &str) -> u64 {
         || fnv1a_extend(FNV_OFFSET, line.as_bytes()),
         |key| key.shard_fnv(),
     )
+}
+
+/// The preset device under catalog key `key`. The catalog is built
+/// once per process, so placement checks a route's declared register
+/// total against its device, as the daemon does, without building a
+/// [`Device`] per request.
+fn preset(key: &str) -> Option<&'static Device> {
+    static PRESETS: OnceLock<Vec<(&'static str, Device)>> = OnceLock::new();
+    PRESETS
+        .get_or_init(Device::presets)
+        .iter()
+        .find(|(preset, _)| *preset == key)
+        .map(|(_, device)| device)
 }
 
 /// The HRW weight of `backend` for `key`: each backend scores the key
@@ -343,17 +354,12 @@ impl Proxy {
         };
         match parsed.as_ref().map(|envelope| &envelope.request) {
             Ok(Request::Stats { id }) => {
-                return attach_id(
-                    *id,
-                    &attach_trace(client_trace.as_deref(), &self.stats_body()),
-                )
+                let body = self.snapshot().render(Tier::Stats);
+                return attach_id(*id, &attach_trace(client_trace.as_deref(), &body));
             }
             Ok(Request::Metrics { id, hist }) => {
-                let body = if *hist {
-                    self.metrics_body_hist()
-                } else {
-                    self.metrics_body()
-                };
+                let tier = if *hist { Tier::Hist } else { Tier::Metrics };
+                let body = self.snapshot().render(tier);
                 return attach_id(*id, &attach_trace(client_trace.as_deref(), &body));
             }
             Ok(Request::Health { id }) => {
@@ -363,10 +369,8 @@ impl Proxy {
                 )
             }
             Ok(Request::Trace { id, n }) => {
-                return attach_id(
-                    *id,
-                    &attach_trace(client_trace.as_deref(), &self.trace_body(*n)),
-                )
+                let body = self.inner.recorder.reply_body(*n, true);
+                return attach_id(*id, &attach_trace(client_trace.as_deref(), &body));
             }
             Ok(Request::Shutdown { id }) => {
                 // Best-effort broadcast so the whole deployment drains,
@@ -622,90 +626,31 @@ impl Proxy {
         )
     }
 
-    /// The proxy's `stats` body: its own counters (backend counters
-    /// live on the backends; scrape them directly).
-    pub fn stats_body(&self) -> String {
-        let m = &self.inner.metrics;
-        format!(
-            "{{\"type\":\"stats\",\"status\":\"ok\",\"proxy\":true,\"requests\":{},\
-             \"forwarded\":{},\"retries\":{},\"failovers\":{},\"overloaded\":{},\
-             \"backends_alive\":{},\"backends_total\":{}}}",
-            ServiceMetrics::read(&m.requests),
-            ServiceMetrics::read(&m.forwarded),
-            ServiceMetrics::read(&m.retries),
-            ServiceMetrics::read(&m.failovers),
-            ServiceMetrics::read(&m.overloaded),
-            self.alive_count(),
-            self.inner.config.backends.len(),
-        )
-    }
-
-    /// The proxy's `metrics` body: flat like the backend one, plus
-    /// per-backend alive/served gauges.
-    pub fn metrics_body(&self) -> String {
-        let m = &self.inner.metrics;
-        let mut body = format!(
-            "{{\"type\":\"metrics\",\"status\":\"ok\",\"proxy\":true,\"requests\":{},\
-             \"forwarded\":{},\"retries\":{},\"failovers\":{},\"overloaded\":{},\
-             \"draining\":{},\"backends_alive\":{},\"backends_total\":{}",
-            ServiceMetrics::read(&m.requests),
-            ServiceMetrics::read(&m.forwarded),
-            ServiceMetrics::read(&m.retries),
-            ServiceMetrics::read(&m.failovers),
-            ServiceMetrics::read(&m.overloaded),
-            self.shutdown_requested(),
-            self.alive_count(),
-            self.inner.config.backends.len(),
-        );
-        for i in 0..self.inner.config.backends.len() {
-            let _ = write!(
-                body,
-                ",\"backend_{i}_alive\":{},\"backend_{i}_served\":{}",
-                self.inner.alive[i].load(Ordering::SeqCst),
-                ServiceMetrics::read(&self.inner.served[i]),
-            );
+    /// The proxy's own counters as one [`Snapshot`], `"proxy":true`
+    /// marking the tier (backend counters live on the backends). The
+    /// `metrics` tier adds per-backend alive/served gauges, `hist` the
+    /// forwarded-request latency, retries included.
+    pub fn snapshot(&self) -> Snapshot {
+        let (m, read) = (&self.inner.metrics, ServiceMetrics::read);
+        let mut snapshot = Snapshot::default();
+        snapshot
+            .push(Tier::Stats, "proxy", true)
+            .push(Tier::Stats, "requests", read(&m.requests))
+            .push(Tier::Stats, "forwarded", read(&m.forwarded))
+            .push(Tier::Stats, "retries", read(&m.retries))
+            .push(Tier::Stats, "failovers", read(&m.failovers))
+            .push(Tier::Stats, "overloaded", read(&m.overloaded))
+            .push(Tier::Metrics, "draining", self.shutdown_requested())
+            .push(Tier::Stats, "backends_alive", self.alive_count())
+            .push(Tier::Stats, "backends_total", self.inner.served.len());
+        for (i, served) in self.inner.served.iter().enumerate() {
+            let alive = self.is_alive(i);
+            snapshot
+                .push(Tier::Metrics, format!("backend_{i}_alive"), alive)
+                .push(Tier::Metrics, format!("backend_{i}_served"), read(served));
         }
-        body.push('}');
-        body
-    }
-
-    /// [`Proxy::metrics_body`] plus the extended observability fields
-    /// (requested with `"hist":true`): the forwarded-request latency
-    /// histogram, end-to-end including retries. Opt-in keeps the plain
-    /// body's bytes frozen.
-    pub fn metrics_body_hist(&self) -> String {
-        let mut body = self.metrics_body();
-        body.pop();
-        let _ = write!(
-            body,
-            ",{}",
-            self.inner.metrics.hist_forward.json_fields("forward")
-        );
-        body.push('}');
-        body
-    }
-
-    /// The proxy's `trace` body: the tier's own most recent span lines
-    /// (verbatim), `"proxy":true` marking the answering tier like its
-    /// other locally-served verbs.
-    pub fn trace_body(&self, n: Option<u64>) -> String {
-        let n = n.unwrap_or(TRACE_REPLY_DEFAULT).min(TRACE_REPLY_MAX);
-        let spans = self
-            .inner
-            .recorder
-            .recent(usize::try_from(n).unwrap_or(usize::MAX));
-        let mut body = format!(
-            "{{\"type\":\"trace\",\"status\":\"ok\",\"proxy\":true,\"count\":{},\"spans\":[",
-            spans.len()
-        );
-        for (i, span) in spans.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(span);
-        }
-        body.push_str("]}");
-        body
+        snapshot.histogram("forward", &m.hist_forward);
+        snapshot
     }
 
     /// The proxy's most recent committed span lines, oldest first
@@ -745,84 +690,24 @@ impl Proxy {
         Ok(())
     }
 
-    /// Accept loop with the default 5 s drain (see
-    /// [`Proxy::serve_tcp_with_drain`]).
+    /// Serves TCP clients through the daemon's accept-and-drain loop
+    /// (`server::accept_and_drain`) until a `shutdown` is served.
     ///
     /// # Errors
     ///
     /// Propagates accept errors other than `WouldBlock`.
-    pub fn serve_tcp(&self, listener: TcpListener) -> std::io::Result<()> {
-        self.serve_tcp_with_drain(listener, Duration::from_secs(5))
-    }
-
-    /// Accept loop: one thread per client connection. After a
-    /// `shutdown` the loop stops; connections still open at the drain
-    /// deadline get one final well-formed `error:"draining"` line and
-    /// a clean close — same contract as the backends'.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept errors other than `WouldBlock`.
-    pub fn serve_tcp_with_drain(
-        &self,
-        listener: TcpListener,
-        drain: Duration,
-    ) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        let mut connections: Vec<(JoinHandle<()>, SharedWriter)> = Vec::new();
-        while !self.shutdown_requested() {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    connections = connections
-                        .into_iter()
-                        .filter_map(|(handle, shared)| {
-                            if handle.is_finished() {
-                                let _ = handle.join();
-                                None
-                            } else {
-                                Some((handle, shared))
-                            }
-                        })
-                        .collect();
-                    if stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    let Ok(reader) = stream.try_clone() else {
-                        continue;
-                    };
-                    let shared = SharedWriter::new(stream);
-                    let writer = shared.clone();
-                    let proxy = self.clone();
-                    connections.push((
-                        std::thread::spawn(move || {
-                            let _ = proxy.serve_ndjson(BufReader::new(reader), writer);
-                        }),
-                        shared,
-                    ));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let deadline = std::time::Instant::now() + drain;
-        for (handle, shared) in connections {
-            while !handle.is_finished() && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if !handle.is_finished() {
-                shared.close(true);
-                let grace = std::time::Instant::now() + Duration::from_millis(250);
-                while !handle.is_finished() && std::time::Instant::now() < grace {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-            if handle.is_finished() {
-                let _ = handle.join();
-            }
-        }
-        Ok(())
+    pub fn serve_tcp(&self, listener: TcpListener, drain: Duration) -> std::io::Result<()> {
+        let proxy = self.clone();
+        accept_and_drain(
+            listener,
+            drain,
+            || self.shutdown_requested(),
+            || false,
+            || true,
+            move |reader, writer| {
+                let _ = proxy.serve_ndjson(reader, writer);
+            },
+        )
     }
 }
 
@@ -945,6 +830,11 @@ mod tests {
         let auto_default = auto.replacen('{', "{\"alpha\":0.5,", 1);
         assert_ne!(shard_key(&auto_low), shard_key(&auto_default));
         assert_eq!(shard_key(&auto), shard_key(&auto_default));
+        // A route too wide for its device (here its register total
+        // overflows) is refused before lowering and hashes its raw
+        // bytes, like any line the backends only reject.
+        let wide = route_line("qreg a[18446744073709551615]; qreg b[2]; h b[0];");
+        assert_eq!(shard_key(&wide), fnv1a_extend(FNV_OFFSET, wide.as_bytes()));
         // Non-route lines hash raw bytes (any shard answers them).
         assert_ne!(
             shard_key("{\"type\":\"stats\"}"),
@@ -1003,7 +893,7 @@ mod tests {
             assert_eq!(parsed.get("status").and_then(Json::as_str), Some("ok"));
             assert_eq!(parsed.get("proxy").and_then(Json::as_bool), Some(true));
         }
-        let metrics = Json::parse(&proxy.metrics_body()).unwrap();
+        let metrics = Json::parse(&proxy.snapshot().render(Tier::Metrics)).unwrap();
         assert_eq!(
             metrics.get("backend_0_alive").and_then(Json::as_bool),
             Some(true)
@@ -1052,7 +942,7 @@ mod tests {
         let health = Json::parse(&proxy.health_body()).unwrap();
         assert_eq!(health.get("ready").and_then(Json::as_bool), Some(false));
         // The counters saw the outage.
-        let stats = Json::parse(&proxy.stats_body()).unwrap();
+        let stats = Json::parse(&proxy.snapshot().render(Tier::Stats)).unwrap();
         assert_eq!(stats.get("overloaded").and_then(Json::as_u64), Some(1));
         assert!(stats.get("retries").and_then(Json::as_u64).unwrap() >= 1);
     }

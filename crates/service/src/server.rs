@@ -27,11 +27,10 @@
 use crate::cache::{CacheStats, RouteKey, ShardedCache};
 use crate::faults::{FaultAction, FaultInjector, FaultPlan, KILL_EXIT_CODE};
 use crate::json::escape;
-use crate::metrics::{ServiceMetrics, PHASE_NAMES, VERB_NAMES};
+use crate::metrics::{ServiceMetrics, Snapshot, Tier, PHASE_NAMES, VERB_NAMES};
 use crate::protocol::{
     attach_id, attach_trace, calibration_get_body, calibration_set_body, error_body,
-    overloaded_body, shutdown_body, CalAction, CalPayload, Request, TRACE_REPLY_DEFAULT,
-    TRACE_REPLY_MAX,
+    overloaded_body, shutdown_body, CalAction, CalPayload, Request,
 };
 use crate::queue::{Bounded, PushError};
 use crate::trace::{phase_sample, TraceCtx, TraceRecorder};
@@ -41,9 +40,10 @@ use codar_circuit::decompose::decompose_three_qubit_gates;
 use codar_circuit::from_qasm::{circuit_from_flat, circuit_to_qasm};
 use codar_circuit::Circuit;
 use codar_engine::{Backend, RouterKind};
+use codar_qasm::ast::Statement;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -53,6 +53,11 @@ use std::time::{Duration, Instant};
 /// Default calibration blend weight of `codar-cal` route requests
 /// that do not pass an explicit `alpha`.
 pub const DEFAULT_CAL_ALPHA: f64 = 0.5;
+
+/// How long a stopping accept loop waits for open connections before
+/// closing them (`coded --drain-ms` and `codar-proxy --drain-ms`
+/// default).
+pub const DEFAULT_DRAIN: Duration = Duration::from_secs(5);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -361,7 +366,7 @@ impl Service {
             }
             Request::Stats { .. } => {
                 ServiceMetrics::bump(&metrics.verb_stats);
-                self.stats_body()
+                self.snapshot().render(Tier::Stats)
             }
             Request::Health { .. } => {
                 ServiceMetrics::bump(&metrics.verb_health);
@@ -369,11 +374,8 @@ impl Service {
             }
             Request::Metrics { hist, .. } => {
                 ServiceMetrics::bump(&metrics.verb_metrics);
-                if hist {
-                    self.metrics_body_hist()
-                } else {
-                    self.metrics_body()
-                }
+                self.snapshot()
+                    .render(if hist { Tier::Hist } else { Tier::Metrics })
             }
             Request::Devices { .. } => {
                 ServiceMetrics::bump(&metrics.verb_devices);
@@ -381,7 +383,7 @@ impl Service {
             }
             Request::Trace { n, .. } => {
                 ServiceMetrics::bump(&metrics.verb_trace);
-                self.trace_body(n)
+                self.inner.recorder.reply_body(n, false)
             }
             Request::Shutdown { .. } => {
                 ServiceMetrics::bump(&metrics.verb_shutdown);
@@ -440,22 +442,12 @@ impl Service {
                 device.name()
             ));
         }
-        // Canonicalization (QASM parse → ≤2-qubit decompose → fit
-        // check → re-serialize) is one traced phase bracketing the
+        // Canonicalization (QASM parse → fit check → ≤2-qubit
+        // decompose → re-serialize) is one traced phase bracketing the
         // whole block, recorded whether it succeeds or fails, so the
         // span *set* stays a pure function of the request.
         let canon_started = Instant::now();
-        let canonicalized = canonicalize(qasm, |circuit| {
-            if circuit.num_qubits() > device.num_qubits() {
-                return Err(format!(
-                    "circuit uses {} qubits but {} has {}",
-                    circuit.num_qubits(),
-                    device.name(),
-                    device.num_qubits()
-                ));
-            }
-            Ok(())
-        });
+        let canonicalized = canonicalize(qasm, &device);
         if let Some(ctx) = ctx.as_mut() {
             ctx.sample(
                 phase_sample("canonicalize", t0, canon_started, Instant::now()),
@@ -647,29 +639,6 @@ impl Service {
         }
     }
 
-    /// The `stats` response body.
-    pub fn stats_body(&self) -> String {
-        let metrics = &self.inner.metrics;
-        let cache = self.inner.cache.stats();
-        format!(
-            "{{\"type\":\"stats\",\"status\":\"ok\",\"requests\":{},\"routed\":{},\
-             \"errors\":{},\"overloaded\":{},\"cache\":{{\"capacity\":{},\"shards\":{},\
-             \"entries\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\
-             \"hit_rate\":{:.6}}}}}",
-            ServiceMetrics::read(&metrics.requests),
-            ServiceMetrics::read(&metrics.routed),
-            ServiceMetrics::read(&metrics.errors),
-            ServiceMetrics::read(&metrics.overloaded),
-            cache.capacity,
-            cache.shards,
-            cache.entries,
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            cache.hit_rate(),
-        )
-    }
-
     /// The `health` response body: readiness (`false` once drain has
     /// started — a draining daemon refuses new route work, and the
     /// proxy's prober takes `ready:false` as "stop routing here").
@@ -686,114 +655,49 @@ impl Service {
         )
     }
 
-    /// The `metrics` response body: everything `stats` reports plus
-    /// queue depth, the in-flight gauge and per-verb counters — flat
-    /// (every top-level value a scalar), so a scraper needs no nested
-    /// traversal. `stats` keeps its historical nested shape untouched.
-    pub fn metrics_body(&self) -> String {
-        let metrics = &self.inner.metrics;
-        let cache = self.inner.cache.stats();
-        format!(
-            "{{\"type\":\"metrics\",\"status\":\"ok\",\"requests\":{},\"routed\":{},\
-             \"errors\":{},\"overloaded\":{},\"in_flight\":{},\"queue_depth\":{},\
-             \"queue_capacity\":{},\"workers\":{},\"draining\":{},\"verb_route\":{},\
-             \"verb_calibration\":{},\"verb_stats\":{},\"verb_devices\":{},\
-             \"verb_health\":{},\"verb_metrics\":{},\"verb_shutdown\":{},\
-             \"cache_capacity\":{},\"cache_shards\":{},\"cache_entries\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
-             \"cache_hit_rate\":{:.6}}}",
-            ServiceMetrics::read(&metrics.requests),
-            ServiceMetrics::read(&metrics.routed),
-            ServiceMetrics::read(&metrics.errors),
-            ServiceMetrics::read(&metrics.overloaded),
-            ServiceMetrics::read(&metrics.in_flight),
-            self.inner.queue.len(),
-            self.inner.config.queue_capacity,
-            self.inner.config.workers.max(1),
-            self.shutdown_requested(),
-            ServiceMetrics::read(&metrics.verb_route),
-            ServiceMetrics::read(&metrics.verb_calibration),
-            ServiceMetrics::read(&metrics.verb_stats),
-            ServiceMetrics::read(&metrics.verb_devices),
-            ServiceMetrics::read(&metrics.verb_health),
-            ServiceMetrics::read(&metrics.verb_metrics),
-            ServiceMetrics::read(&metrics.verb_shutdown),
-            cache.capacity,
-            cache.shards,
-            cache.entries,
-            cache.hits,
-            cache.misses,
-            cache.evictions,
-            cache.hit_rate(),
-        )
-    }
-
-    /// [`Service::metrics_body`] plus the extended observability
-    /// fields, served for `{"type":"metrics","hist":true}`: the queue
-    /// depth high-water mark, the `trace` verb counter and the
-    /// fixed-boundary log2 latency histograms (per verb, queue wait,
-    /// per routing phase). Opt-in so the plain body's bytes stay
-    /// frozen for historical clients and the golden fixtures; still
-    /// flat — bucket counts are one comma-joined string scalar each,
-    /// never a nested array.
-    pub fn metrics_body_hist(&self) -> String {
-        let metrics = &self.inner.metrics;
-        let mut out = self.metrics_body();
-        out.pop(); // reopen the object; extension fields follow
-        let _ = write!(
-            out,
-            ",\"verb_trace\":{},\"queue_depth_high_water\":{}",
-            ServiceMetrics::read(&metrics.verb_trace),
-            self.inner.queue.high_water(),
-        );
-        for (name, hist) in VERB_NAMES.iter().zip(&metrics.hist_verbs) {
-            let _ = write!(out, ",{}", hist.json_fields(name));
+    /// This daemon's counters as one [`Snapshot`], rendered as its
+    /// `stats`, `metrics` and `hist` bodies (see [`crate::metrics`]).
+    pub fn snapshot(&self) -> Snapshot {
+        let (m, queue, config) = (&self.inner.metrics, &self.inner.queue, &self.inner.config);
+        let (read, cache) = (ServiceMetrics::read, self.inner.cache.stats());
+        let mut snapshot = Snapshot::default();
+        snapshot
+            .push(Tier::Stats, "requests", read(&m.requests))
+            .push(Tier::Stats, "routed", read(&m.routed))
+            .push(Tier::Stats, "errors", read(&m.errors))
+            .push(Tier::Stats, "overloaded", read(&m.overloaded))
+            .push(Tier::Metrics, "in_flight", read(&m.in_flight))
+            .push(Tier::Metrics, "queue_depth", queue.len())
+            .push(Tier::Metrics, "queue_capacity", config.queue_capacity)
+            .push(Tier::Metrics, "workers", config.workers.max(1))
+            .push(Tier::Metrics, "draining", self.shutdown_requested())
+            .push(Tier::Metrics, "verb_route", read(&m.verb_route))
+            .push(Tier::Metrics, "verb_calibration", read(&m.verb_calibration))
+            .push(Tier::Metrics, "verb_stats", read(&m.verb_stats))
+            .push(Tier::Metrics, "verb_devices", read(&m.verb_devices))
+            .push(Tier::Metrics, "verb_health", read(&m.verb_health))
+            .push(Tier::Metrics, "verb_metrics", read(&m.verb_metrics))
+            .push(Tier::Metrics, "verb_shutdown", read(&m.verb_shutdown))
+            .group("cache", |s| {
+                s.push(Tier::Stats, "capacity", cache.capacity)
+                    .push(Tier::Stats, "shards", cache.shards)
+                    .push(Tier::Stats, "entries", cache.entries)
+                    .push(Tier::Stats, "hits", cache.hits)
+                    .push(Tier::Stats, "misses", cache.misses)
+                    .push(Tier::Stats, "evictions", cache.evictions)
+                    .push(Tier::Stats, "hit_rate", cache.hit_rate());
+            })
+            .push(Tier::Hist, "verb_trace", read(&m.verb_trace))
+            .push(Tier::Hist, "queue_depth_high_water", queue.high_water());
+        for (name, hist) in VERB_NAMES.iter().zip(&m.hist_verbs) {
+            snapshot.histogram(name, hist);
         }
-        let _ = write!(
-            out,
-            ",{}",
-            metrics.hist_queue_wait.json_fields("queue_wait")
-        );
-        for (name, hist) in PHASE_NAMES.iter().zip(&metrics.hist_phases) {
-            let _ = write!(out, ",{}", hist.json_fields(&format!("phase_{name}")));
+        snapshot.histogram("queue_wait", &m.hist_queue_wait);
+        for (name, hist) in PHASE_NAMES.iter().zip(&m.hist_phases) {
+            snapshot.histogram(&format!("phase_{name}"), hist);
         }
-        // Portfolio (`auto`) telemetry: the explore/exploit split and
-        // the per-(device, class, member) win table — new flat keys
-        // only, so the plain `metrics` and `stats` bodies stay
-        // byte-frozen.
-        let _ = write!(
-            out,
-            ",\"portfolio_explore\":{},\"portfolio_exploit\":{}{}",
-            ServiceMetrics::read(&metrics.portfolio_explore),
-            ServiceMetrics::read(&metrics.portfolio_exploit),
-            metrics.portfolio_win_fields(),
-        );
-        out.push('}');
-        out
-    }
-
-    /// The `trace` response body: the last `n` committed span lines
-    /// (default [`TRACE_REPLY_DEFAULT`], clamped to
-    /// [`TRACE_REPLY_MAX`]), oldest first, embedded as raw span
-    /// objects — the same lines the NDJSON sink receives.
-    pub fn trace_body(&self, n: Option<u64>) -> String {
-        let n = n.unwrap_or(TRACE_REPLY_DEFAULT).min(TRACE_REPLY_MAX);
-        let spans = self
-            .inner
-            .recorder
-            .recent(usize::try_from(n).unwrap_or(usize::MAX));
-        let mut out = format!(
-            "{{\"type\":\"trace\",\"status\":\"ok\",\"count\":{},\"spans\":[",
-            spans.len()
-        );
-        for (i, span) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(span);
-        }
-        out.push_str("]}");
-        out
+        m.push_portfolio(&mut snapshot);
+        snapshot
     }
 
     /// The last `n` committed span lines (oldest first) — what the
@@ -891,121 +795,26 @@ impl Service {
         Ok(())
     }
 
-    /// Accept loop: one thread per connection, each serving its stream
-    /// through [`Service::serve_ndjson`]. Returns once a `shutdown`
-    /// request has been served (on any connection) **and** the
-    /// per-connection threads have drained (default deadline 5 s) —
-    /// see [`Service::serve_tcp_with_drain`].
+    /// Serves TCP clients through `accept_and_drain`, each stream
+    /// through [`Service::serve_ndjson`], until a `shutdown` is served
+    /// or a `kill` fault fires; a `refuse` fault closes the listener.
     ///
     /// # Errors
     ///
     /// Propagates accept errors other than `WouldBlock`.
-    pub fn serve_tcp(&self, listener: TcpListener) -> std::io::Result<()> {
-        self.serve_tcp_with_drain(listener, Duration::from_secs(5))
-    }
-
-    /// [`Service::serve_tcp`] with an explicit drain deadline.
-    ///
-    /// Connection threads are tracked, and after a `shutdown` has been
-    /// served the accept loop stops and joins them so in-flight
-    /// responses complete before the caller (typically `coded`'s
-    /// `main`) exits and would kill them mid-write. Threads parked in a
-    /// blocking read on an idle connection cannot be interrupted
-    /// portably, so the join is bounded by `drain`: a connection still
-    /// open at the deadline is sent one final well-formed
-    /// `error:"draining"` line and its socket is shut down — the
-    /// client sees an explicit goodbye and a clean EOF, never silence
-    /// or a torn frame (the socket shutdown also wakes the parked
-    /// reader so the thread exits).
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept errors other than `WouldBlock`.
-    pub fn serve_tcp_with_drain(
-        &self,
-        listener: TcpListener,
-        drain: Duration,
-    ) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
-        // Inside an Option so a `refuse` fault can close it mid-loop
-        // while existing connections keep being served.
-        let mut listener = Some(listener);
-        let mut connections: Vec<(JoinHandle<()>, SharedWriter)> = Vec::new();
-        while !self.shutdown_requested() && !self.fault_killed() {
-            if self.fault_refusing() {
-                listener = None;
-            }
-            let Some(active) = listener.as_ref() else {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            };
-            match active.accept() {
-                Ok((stream, _addr)) => {
-                    // Reap finished connections as we go so the handle
-                    // list tracks live connections, not history.
-                    connections = connections
-                        .into_iter()
-                        .filter_map(|(handle, shared)| {
-                            if handle.is_finished() {
-                                let _ = handle.join();
-                                None
-                            } else {
-                                Some((handle, shared))
-                            }
-                        })
-                        .collect();
-                    // Per-connection setup failures (e.g. the client
-                    // RSTs immediately) only cost that client its
-                    // connection — they must never stop the accept
-                    // loop. Request/response lines are tiny, so Nagle
-                    // coalescing would cost tens of ms per line.
-                    if stream.set_nodelay(true).is_err() {
-                        continue;
-                    }
-                    let Ok(reader) = stream.try_clone() else {
-                        continue;
-                    };
-                    let shared = SharedWriter::new(stream);
-                    let writer = shared.clone();
-                    let service = self.clone();
-                    connections.push((
-                        std::thread::spawn(move || {
-                            let _ = service.serve_ndjson(std::io::BufReader::new(reader), writer);
-                        }),
-                        shared,
-                    ));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let deadline = std::time::Instant::now() + drain;
-        // A killed daemon is a dead process: it writes no goodbye. A
-        // draining one owes every still-open connection a final
-        // well-formed line before the close.
-        let courtesy = !self.fault_killed();
-        for (handle, shared) in connections {
-            while !handle.is_finished() && std::time::Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            if !handle.is_finished() {
-                shared.close(courtesy);
-                // The shutdown wakes the parked reader with EOF, so
-                // the thread exits promptly; a short grace bounds the
-                // join (a hang-faulted thread may sleep past it — it
-                // holds nothing but its stack by now).
-                let grace = std::time::Instant::now() + Duration::from_millis(250);
-                while !handle.is_finished() && std::time::Instant::now() < grace {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            }
-            if handle.is_finished() {
-                let _ = handle.join();
-            }
-        }
-        Ok(())
+    pub fn serve_tcp(&self, listener: TcpListener, drain: Duration) -> std::io::Result<()> {
+        let service = self.clone();
+        accept_and_drain(
+            listener,
+            drain,
+            || self.shutdown_requested() || self.fault_killed(),
+            || self.fault_refusing(),
+            // A killed daemon is a dead process: it writes no goodbye.
+            || !self.fault_killed(),
+            move |reader, writer| {
+                let _ = service.serve_ndjson(reader, writer);
+            },
+        )
     }
 }
 
@@ -1013,21 +822,40 @@ impl Service {
 /// daemon's cache key and the proxy's shard key: the QASM is parsed,
 /// decomposed to ≤2-qubit gates (the benchmark suite's normalization)
 /// and re-serialized, so formatting differences in the submitted text
-/// cannot split cache entries or shards. `fits` vets the router-ready
-/// circuit before it is written.
+/// cannot split cache entries or shards.
+///
+/// The declared register total is checked against `device` on the
+/// parsed program, before lowering: a whole-register statement such as
+/// `barrier q;` expands to one operand per declared qubit, so lowering
+/// an oversized program first would cost memory in proportion to the
+/// declared size, not to the request.
 ///
 /// # Errors
 ///
-/// `QASM error: …` when the text does not lower, `fits`'s own message,
-/// or `cannot canonicalize circuit: …` when the circuit cannot be
-/// written back.
-pub fn canonicalize(
-    qasm: &str,
-    fits: impl FnOnce(&Circuit) -> Result<(), String>,
-) -> Result<(Circuit, String), String> {
-    let flat = codar_qasm::parse_and_flatten(qasm).map_err(|e| format!("QASM error: {e}"))?;
+/// `QASM error: …` when the text does not parse or lower,
+/// `circuit uses N qubits but D has M` when it does not fit, or
+/// `cannot canonicalize circuit: …` when the circuit cannot be written
+/// back.
+pub fn canonicalize(qasm: &str, device: &Device) -> Result<(Circuit, String), String> {
+    let qasm_error = |e: codar_qasm::QasmError| format!("QASM error: {e}");
+    let program = codar_qasm::parse(qasm).map_err(qasm_error)?;
+    let declared = program
+        .statements
+        .iter()
+        .map(|statement| match statement {
+            Statement::QReg { size, .. } => *size,
+            _ => 0,
+        })
+        .fold(0u64, u64::saturating_add);
+    if declared > device.num_qubits() as u64 {
+        return Err(format!(
+            "circuit uses {declared} qubits but {} has {}",
+            device.name(),
+            device.num_qubits()
+        ));
+    }
+    let flat = codar_qasm::semantic::flatten(&program).map_err(qasm_error)?;
     let circuit = decompose_three_qubit_gates(&circuit_from_flat(&flat));
-    fits(&circuit)?;
     let canonical =
         circuit_to_qasm(&circuit).map_err(|e| format!("cannot canonicalize circuit: {e}"))?;
     Ok((circuit, canonical))
@@ -1127,6 +955,111 @@ impl Write for SharedWriter {
             .map_err(|_| std::io::Error::other("writer lock poisoned"))?;
         stream.flush()
     }
+}
+
+/// The accept-and-drain loop of both tiers ([`Service::serve_tcp`] and
+/// [`crate::Proxy::serve_tcp`]): one thread per connection, each
+/// running `serve` on the connection's reader and a [`SharedWriter`].
+///
+/// The loop polls a non-blocking listener until `stopping` holds,
+/// closing the listener for good once `refusing` does. Then it joins
+/// the connection threads so in-flight replies complete before the
+/// caller exits and would kill them mid-write. Threads parked in a
+/// blocking read on an idle connection cannot be interrupted portably,
+/// so the join is bounded by `drain`: a connection still open at the
+/// deadline is closed through its [`SharedWriter`], with one final
+/// well-formed `error:"draining"` line first if `courtesy` holds. The
+/// client sees an explicit goodbye and a clean EOF, never a torn
+/// frame, and the socket shutdown wakes the parked reader.
+///
+/// # Errors
+///
+/// Propagates accept errors other than `WouldBlock`.
+pub(crate) fn accept_and_drain<S>(
+    listener: TcpListener,
+    drain: Duration,
+    stopping: impl Fn() -> bool,
+    refusing: impl Fn() -> bool,
+    courtesy: impl FnOnce() -> bool,
+    serve: S,
+) -> std::io::Result<()>
+where
+    S: Fn(BufReader<TcpStream>, SharedWriter) + Clone + Send + 'static,
+{
+    listener.set_nonblocking(true)?;
+    // Inside an Option so a `refuse` fault can close it mid-loop while
+    // existing connections keep being served.
+    let mut listener = Some(listener);
+    let mut connections: Vec<(JoinHandle<()>, SharedWriter)> = Vec::new();
+    while !stopping() {
+        if refusing() {
+            listener = None;
+        }
+        let Some(active) = listener.as_ref() else {
+            std::thread::sleep(Duration::from_millis(5));
+            continue;
+        };
+        match active.accept() {
+            Ok((stream, _addr)) => {
+                // Reap finished connections as we go so the handle
+                // list tracks live connections, not history.
+                connections = connections
+                    .into_iter()
+                    .filter_map(|(handle, shared)| {
+                        if handle.is_finished() {
+                            let _ = handle.join();
+                            None
+                        } else {
+                            Some((handle, shared))
+                        }
+                    })
+                    .collect();
+                // Per-connection setup failures (e.g. the client RSTs
+                // immediately) only cost that client its connection.
+                // Request/response lines are tiny, so Nagle coalescing
+                // would cost tens of ms per line.
+                if stream.set_nodelay(true).is_err() {
+                    continue;
+                }
+                let Ok(reader) = stream.try_clone() else {
+                    continue;
+                };
+                let shared = SharedWriter::new(stream);
+                let writer = shared.clone();
+                let serve = serve.clone();
+                connections.push((
+                    std::thread::spawn(move || serve(BufReader::new(reader), writer)),
+                    shared,
+                ));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    let deadline = Instant::now() + drain;
+    let courtesy = courtesy();
+    for (handle, shared) in connections {
+        while !handle.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        if !handle.is_finished() {
+            shared.close(courtesy);
+            // The shutdown wakes the parked reader with EOF, so the
+            // thread exits promptly; a short grace bounds the join (a
+            // hang-faulted thread may sleep past it — it holds nothing
+            // but its stack by now).
+            let grace = Instant::now() + Duration::from_millis(250);
+            while !handle.is_finished() && Instant::now() < grace {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        if handle.is_finished() {
+            let _ = handle.join();
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1246,13 +1179,13 @@ mod tests {
         // never reports a winner.
         let fixed = service.handle_line(&route_line("q5", "codar", GHZ3));
         assert!(!fixed.contains("\"chosen\""), "{fixed}");
-        // Plain `metrics` and `stats` bodies stay byte-frozen: the
-        // portfolio telemetry only rides the extended body.
-        let metrics = service.metrics_body();
+        // The portfolio telemetry is `Hist`-tier only: the golden
+        // fixtures pin the plain `metrics` and `stats` bodies.
+        let metrics = service.snapshot().render(Tier::Metrics);
         assert!(!metrics.contains("portfolio"), "{metrics}");
-        let stats_body = service.handle_line("{\"type\":\"stats\"}");
-        assert!(!stats_body.contains("portfolio"), "{stats_body}");
-        let hist = service.metrics_body_hist();
+        let plain_stats = service.handle_line("{\"type\":\"stats\"}");
+        assert!(!plain_stats.contains("portfolio"), "{plain_stats}");
+        let hist = service.snapshot().render(Tier::Hist);
         assert!(hist.contains("\"portfolio_explore\":1"), "{hist}");
         assert!(hist.contains("\"portfolio_exploit\":1"), "{hist}");
         assert!(
@@ -1279,21 +1212,35 @@ mod tests {
 
     #[test]
     fn canonicalize_vets_the_decomposed_circuit_before_writing_it() {
+        let q5 = Device::ibm_q5_yorktown();
         let src = "include \"qelib1.inc\"; qreg q[3]; ccx q[0], q[1], q[2];";
-        let (circuit, canonical) = canonicalize(src, |c| {
-            assert!(c.gates().iter().all(|g| g.qubits.len() <= 2));
-            Ok(())
-        })
-        .unwrap();
+        let (circuit, canonical) = canonicalize(src, &q5).unwrap();
+        assert!(circuit.gates().iter().all(|g| g.qubits.len() <= 2));
         assert_eq!(circuit_to_qasm(&circuit).unwrap(), canonical);
-        let (_, again) = canonicalize(&canonical, |_| Ok(())).unwrap();
+        let (_, again) = canonicalize(&canonical, &q5).unwrap();
         assert_eq!(again, canonical, "canonical text is a fixed point");
-        assert_eq!(
-            canonicalize(src, |_| Err("too wide".to_string())).unwrap_err(),
-            "too wide"
-        );
-        let err = canonicalize("qreg q[1]; zz q[0];", |_| panic!("not lowered")).unwrap_err();
+        let err = canonicalize("qreg q[1]; zz q[0];", &q5).unwrap_err();
         assert!(err.starts_with("QASM error: "), "{err}");
+        // The declared register total is checked on the parsed program,
+        // before lowering could expand a whole-register statement: it
+        // sums every register, saturates instead of wrapping, and comes
+        // before lowering's own errors.
+        for (src, declared) in [
+            ("qreg q[3]; qreg r[3]; cx q[0], r[0];", "6"),
+            ("qreg q[6]; zz q[0];", "6"),
+            ("qreg q[100000000]; barrier q;", "100000000"),
+            (
+                "qreg q[18446744073709551615]; qreg r[2]; h r;",
+                "18446744073709551615",
+            ),
+        ] {
+            assert_eq!(
+                canonicalize(src, &q5).unwrap_err(),
+                format!("circuit uses {declared} qubits but IBM Q5 Yorktown has 5"),
+                "{src}"
+            );
+        }
+        assert!(canonicalize("qreg q[5]; barrier q;", &q5).is_ok());
     }
 
     #[test]
@@ -1342,7 +1289,7 @@ mod tests {
             Some("overloaded"),
             "{response}"
         );
-        let stats = Json::parse(&service.stats_body()).unwrap();
+        let stats = Json::parse(&service.snapshot().render(Tier::Stats)).unwrap();
         assert_eq!(stats.get("overloaded").and_then(Json::as_u64), Some(1));
     }
 
@@ -1421,65 +1368,96 @@ mod tests {
         assert_eq!(rejection.id, Some(9));
     }
 
+    /// Both tiers run [`accept_and_drain`]: a shutdown served on one
+    /// connection stops the loop, and an idle connection gets the
+    /// `draining` courtesy line, then a clean EOF, within the drain
+    /// deadline.
     #[test]
     fn shutdown_on_one_connection_stops_and_drains_the_others() {
+        use crate::proxy::{Proxy, ProxyConfig};
         use std::io::{BufRead as _, BufReader, Write as _};
+        type Serve = Box<dyn FnOnce(TcpListener, Duration) -> std::io::Result<()> + Send>;
         let service = Service::start(ServiceConfig::default());
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let addr = listener.local_addr().unwrap();
-        let server = {
-            let service = service.clone();
-            std::thread::spawn(move || {
-                service.serve_tcp_with_drain(listener, Duration::from_millis(300))
-            })
-        };
-        let mut idle = std::net::TcpStream::connect(addr).expect("connect idle");
-        let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
-        let mut control = std::net::TcpStream::connect(addr).expect("connect control");
-        let mut control_reader = BufReader::new(control.try_clone().unwrap());
-        let mut line = String::new();
+        // The proxy answers `stats` itself; its shutdown broadcast to
+        // the refusing backend fails fast and is best-effort.
+        let proxy = Proxy::start(ProxyConfig {
+            backends: vec!["127.0.0.1:1".into()],
+            probe_interval: Duration::from_secs(3600),
+            ..ProxyConfig::default()
+        })
+        .unwrap();
+        let tiers: [(&str, Serve); 2] = [
+            (
+                "daemon",
+                Box::new(move |l, drain| service.serve_tcp(l, drain)),
+            ),
+            ("proxy", Box::new(move |l, drain| proxy.serve_tcp(l, drain))),
+        ];
+        for (tier, serve) in tiers {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+            let addr = listener.local_addr().unwrap();
+            let drain = Duration::from_millis(300);
+            let server = std::thread::spawn(move || serve(listener, drain));
+            let mut idle = std::net::TcpStream::connect(addr).expect("connect idle");
+            let mut idle_reader = BufReader::new(idle.try_clone().unwrap());
+            let mut control = std::net::TcpStream::connect(addr).expect("connect control");
+            let mut control_reader = BufReader::new(control.try_clone().unwrap());
+            let mut line = String::new();
 
-        // The idle connection serves a request first, proving its
-        // thread is up before the shutdown arrives elsewhere.
-        idle.write_all(b"{\"type\":\"stats\",\"id\":1}\n").unwrap();
-        idle_reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"status\":\"ok\""), "{line}");
+            // The idle connection serves a request first, proving its
+            // thread is up before the shutdown arrives elsewhere.
+            idle.write_all(b"{\"type\":\"stats\",\"id\":1}\n").unwrap();
+            idle_reader.read_line(&mut line).unwrap();
+            assert!(line.contains("\"status\":\"ok\""), "{tier}: {line}");
 
-        line.clear();
-        control.write_all(b"{\"type\":\"shutdown\"}\n").unwrap();
-        control_reader.read_line(&mut line).unwrap();
-        assert!(line.contains("\"type\":\"shutdown\""), "{line}");
+            line.clear();
+            let shutdown_sent = Instant::now();
+            control.write_all(b"{\"type\":\"shutdown\"}\n").unwrap();
+            control_reader.read_line(&mut line).unwrap();
+            assert!(line.contains("\"type\":\"shutdown\""), "{tier}: {line}");
 
-        // The accept loop returns despite the idle connection still
-        // being open: at the bounded drain deadline the idle client is
-        // told goodbye and its socket is closed, instead of keeping
-        // the daemon alive forever.
-        server
-            .join()
-            .unwrap()
-            .expect("accept loop drains and exits");
-
-        // Regression (the old behavior silently abandoned the parked
-        // connection): the client must receive one final well-formed
-        // `error:"draining"` line, then a clean EOF — never bare
-        // silence, never a torn frame.
-        line.clear();
-        let n = idle_reader.read_line(&mut line).unwrap();
-        assert!(n > 0, "drain must say goodbye, not just vanish");
-        assert!(line.ends_with('\n'), "drain line must be a whole frame");
-        let parsed = Json::parse(line.trim_end()).expect("drain line is valid JSON");
-        assert_eq!(parsed.get("status").and_then(Json::as_str), Some("error"));
-        assert!(
-            parsed
-                .get("error")
-                .and_then(Json::as_str)
+            // The accept loop returns despite the idle connection still
+            // being open: at the bounded drain deadline the idle client
+            // is told goodbye and its socket is closed, instead of
+            // keeping the tier alive forever.
+            server
+                .join()
                 .unwrap()
-                .starts_with("draining"),
-            "{line}"
-        );
-        line.clear();
-        let n = idle_reader.read_line(&mut line).unwrap();
-        assert_eq!(n, 0, "after the goodbye the stream is closed: {line}");
+                .unwrap_or_else(|e| panic!("{tier}: accept loop drains and exits: {e}"));
+            assert!(
+                shutdown_sent.elapsed() < drain + Duration::from_secs(2),
+                "{tier}: drained in {:?}",
+                shutdown_sent.elapsed()
+            );
+
+            // Regression (the old behavior silently abandoned the parked
+            // connection): the client must receive one final well-formed
+            // `error:"draining"` line, then a clean EOF — never bare
+            // silence, never a torn frame.
+            line.clear();
+            let n = idle_reader.read_line(&mut line).unwrap();
+            assert!(n > 0, "{tier}: drain must say goodbye, not just vanish");
+            assert!(
+                line.ends_with('\n'),
+                "{tier}: drain line must be a whole frame"
+            );
+            let parsed = Json::parse(line.trim_end()).expect("drain line is valid JSON");
+            assert_eq!(parsed.get("status").and_then(Json::as_str), Some("error"));
+            assert!(
+                parsed
+                    .get("error")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .starts_with("draining"),
+                "{tier}: {line}"
+            );
+            line.clear();
+            let n = idle_reader.read_line(&mut line).unwrap();
+            assert_eq!(
+                n, 0,
+                "{tier}: after the goodbye the stream is closed: {line}"
+            );
+        }
     }
 
     #[test]
@@ -1614,7 +1592,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = {
             let service = service.clone();
-            std::thread::spawn(move || service.serve_tcp(listener))
+            std::thread::spawn(move || service.serve_tcp(listener, DEFAULT_DRAIN))
         };
         let mut stream = std::net::TcpStream::connect(addr).expect("connect");
         let mut reader = BufReader::new(stream.try_clone().unwrap());

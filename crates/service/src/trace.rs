@@ -50,6 +50,7 @@
 //! ```
 
 use crate::json::escape;
+use crate::protocol::{TRACE_REPLY_DEFAULT, TRACE_REPLY_MAX};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fs::File;
@@ -491,6 +492,23 @@ impl TraceRecorder {
             entries.drain(..entries.len() - n);
         }
         entries.into_iter().map(|(_, line)| line).collect()
+    }
+
+    /// The `trace` reply body of either tier: the last `n` committed
+    /// span lines (default [`TRACE_REPLY_DEFAULT`], clamped to
+    /// [`TRACE_REPLY_MAX`]), oldest first, embedded as raw span objects
+    /// — the same lines the NDJSON sink receives. `proxy` adds the
+    /// `"proxy":true` marker the front tier puts on the verbs it
+    /// answers itself.
+    pub fn reply_body(&self, n: Option<u64>, proxy: bool) -> String {
+        let n = n.unwrap_or(TRACE_REPLY_DEFAULT).min(TRACE_REPLY_MAX);
+        let spans = self.recent(usize::try_from(n).unwrap_or(usize::MAX));
+        let marker = if proxy { "\"proxy\":true," } else { "" };
+        format!(
+            "{{\"type\":\"trace\",\"status\":\"ok\",{marker}\"count\":{},\"spans\":[{}]}}",
+            spans.len(),
+            spans.join(",")
+        )
     }
 }
 

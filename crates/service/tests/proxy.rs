@@ -10,6 +10,7 @@ use codar_benchmarks::generators;
 use codar_circuit::from_qasm::circuit_to_qasm;
 use codar_service::fuzz::InvariantChecker;
 use codar_service::json::{escape, Json};
+use codar_service::metrics::Tier;
 use codar_service::protocol::error_body;
 use codar_service::proxy::{shard_key, Proxy, ProxyConfig};
 use codar_service::{FaultPlan, Service, ServiceConfig, ShardFleet};
@@ -115,7 +116,7 @@ fn shard_count_one_two_four_is_byte_invisible() {
         if shards == 4 {
             // The tier really spread the keyspace: more than one shard
             // served traffic (HRW would be pointless otherwise).
-            let metrics = proxy.metrics_body();
+            let metrics = proxy.snapshot().render(Tier::Metrics);
             let spread = (0..shards)
                 .filter(|i| u64_field(&metrics, &format!("backend_{i}_served")) > 0)
                 .count();
@@ -237,7 +238,7 @@ fn every_fault_kind_yields_one_well_formed_reply_per_line() {
                 "{spec}: reply bytes diverged"
             );
         }
-        let failovers = u64_field(&proxy.stats_body(), "failovers");
+        let failovers = u64_field(&proxy.snapshot().render(Tier::Stats), "failovers");
         if must_fail_over {
             assert!(failovers >= 1, "{spec}: expected a failover, saw none");
         }
@@ -279,7 +280,7 @@ proptest! {
         let mut conns = proxy.connections();
         let reply = proxy.handle_line(&line, &mut conns);
         prop_assert_eq!(&reply, &expected, "failover reply diverged (cut {})", cut);
-        prop_assert!(u64_field(&proxy.stats_body(), "failovers") >= 1,
+        prop_assert!(u64_field(&proxy.snapshot().render(Tier::Stats), "failovers") >= 1,
             "the torn frame never registered as a failover");
         // And the retried key keeps answering from the survivor.
         let again = proxy.handle_line(&line, &mut conns);
@@ -395,7 +396,7 @@ fn draining_refusal_fails_over_cleanly() {
         !proxy.is_alive(0),
         "the draining backend stayed in rotation"
     );
-    assert!(u64_field(&proxy.stats_body(), "retries") >= 1);
+    assert!(u64_field(&proxy.snapshot().render(Tier::Stats), "retries") >= 1);
     fleet.shutdown();
 }
 

@@ -3,10 +3,11 @@
 //! `tests/fixtures/hostile.ndjson` is a checked-in file of adversarial
 //! request lines — deep nesting, mispaired surrogate escapes, huge and
 //! malformed numbers, truncated frames, raw control characters,
-//! oversized keys. Replayed against the real `coded --stdin` binary,
+//! oversized keys, huge declared registers. Replayed against the real `coded --stdin` binary,
 //! the daemon must (a) never panic or crash, nor reach a caught worker
 //! panic (`internal error`), (b) emit exactly one well-formed JSON
-//! reply per line, and (c) reply deterministically.
+//! reply per line, (c) reply deterministically, and (d) stay within a
+//! fixed address-space cap however large the registers a line declares.
 //! (The corpus is valid UTF-8 by construction: the line reader
 //! terminates the stream on invalid UTF-8 before any request parsing
 //! runs, which is transport framing, not protocol handling.)
@@ -126,6 +127,60 @@ fn repeated_barrier_operands_get_the_repeated_operand_error() {
              gate `barrier` applied with repeated qubit operand\"}",
             "reply to `{}`",
             requests[i]
+        );
+    }
+}
+
+/// Route lines declaring 100M-qubit registers (`barrier big;`, `h big;`,
+/// `measure big -> c;`) get the fit error from a check on the parsed
+/// program, before lowering could expand a whole-register statement to
+/// one operand per declared qubit. Replayed under a 1 GiB address-space
+/// cap, the daemon still answers every line. The register total
+/// saturates: a total past `usize::MAX`, which lowering would wrap into
+/// a 1-qubit circuit and then panic on, is refused the same way.
+#[test]
+fn huge_registers_get_the_fit_error_before_lowering() {
+    let corpus = std::fs::read_to_string(corpus_path()).expect("read corpus");
+    let huge: Vec<&str> = corpus
+        .lines()
+        .filter(|request| request.contains("qreg big["))
+        .collect();
+    assert_eq!(huge.len(), 4, "the corpus has the four huge-register lines");
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 1048576 && exec \"$0\" --stdin")
+        .arg(env!("CARGO_BIN_EXE_coded"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn coded under a 1 GiB cap");
+    let input = format!("{}\n", huge.join("\n"));
+    std::io::Write::write_all(&mut child.stdin.take().expect("stdin"), input.as_bytes())
+        .expect("write requests");
+    let output = child.wait_with_output().expect("coded exits");
+    assert!(
+        output.status.success(),
+        "coded failed under the cap: {:?}\nstderr:\n{}",
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let replies = String::from_utf8(output.stdout).expect("replies are UTF-8");
+    let replies: Vec<&str> = replies.lines().collect();
+    assert_eq!(replies.len(), huge.len(), "one reply per line");
+    for (request, reply) in huge.iter().zip(replies) {
+        let declared = if request.contains("18446744073709551615") {
+            "18446744073709551615"
+        } else {
+            "100000000"
+        };
+        assert_eq!(
+            reply,
+            format!(
+                "{{\"type\":\"error\",\"status\":\"error\",\"error\":\"circuit uses {declared} \
+                 qubits but IBM Q20 Tokyo has 20\"}}"
+            ),
+            "reply to `{request}`"
         );
     }
 }
