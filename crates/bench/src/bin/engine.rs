@@ -4,8 +4,7 @@
 //! ```text
 //! engine [--devices q16,q20] [--routers codar,sabre] [--threads N]
 //!        [--seed S] [--limit K] [--sim auto|dense|stabilizer|sparse]
-//!        [--json PATH] [--csv PATH] [--timings PATH] [--no-verify]
-//!        [--check-determinism]
+//!        [--json PATH] [--csv PATH] [--check-determinism]
 //! ```
 //!
 //! `--check-determinism` runs the same matrix once on 1 thread and
@@ -19,21 +18,16 @@
 //! backend that ran on every non-dense job; a failed check fails the
 //! job, so the gates below apply.
 //!
-//! `--timings PATH` writes the run's [`codar_engine::RunStats`] as
-//! JSON — the `BENCH_timings.json` perf baseline (circuits/sec, mean
-//! route time per router, pool speedup; plus, under
-//! `--check-determinism`, the measured speedup vs 1 thread and the
-//! contention-free `per_router_1_thread` means the perf gate reads).
-//!
-//! All output files are gated on run health: if any job fails to
-//! route or verify, the binary exits non-zero **before** writing
-//! `--json`/`--csv`/`--timings`, so a broken run can never become the
-//! committed baseline.
+//! Every job is routed and verified ([`codar_engine::RouteWorker::compile`]).
+//! Output files are gated on run health: if any job fails to route or
+//! verify, the binary exits non-zero **before** writing `--json`/`--csv`.
+//! Wall-clock figures are printed, never written: repeated timing is
+//! `perfbench`'s job.
 
 use codar_arch::Device;
 use codar_bench::check_health;
 use codar_benchmarks::suite::full_suite;
-use codar_engine::{Backend, EngineConfig, RouterKind, RunStats, SuiteResult, SuiteRunner};
+use codar_engine::{Backend, EngineConfig, RouterKind, SuiteResult, SuiteRunner};
 use std::process::ExitCode;
 
 struct Args {
@@ -44,9 +38,7 @@ struct Args {
     limit: usize,
     json: Option<String>,
     csv: Option<String>,
-    timings: Option<String>,
     sim: Option<Backend>,
-    verify: bool,
     check_determinism: bool,
 }
 
@@ -59,9 +51,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         limit: usize::MAX,
         json: None,
         csv: None,
-        timings: None,
         sim: None,
-        verify: true,
         check_determinism: false,
     };
     let mut i = 0;
@@ -120,10 +110,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 parsed.csv = Some(value(args, i, "--csv")?);
                 i += 2;
             }
-            "--timings" => {
-                parsed.timings = Some(value(args, i, "--timings")?);
-                i += 2;
-            }
             "--sim" => {
                 let name = value(args, i, "--sim")?;
                 parsed.sim = Some(
@@ -131,10 +117,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                         .ok_or_else(|| format!("unknown simulation backend `{name}`"))?,
                 );
                 i += 2;
-            }
-            "--no-verify" => {
-                parsed.verify = false;
-                i += 1;
             }
             "--check-determinism" => {
                 parsed.check_determinism = true;
@@ -154,7 +136,6 @@ fn run_once(args: &Args, threads: usize) -> SuiteResult {
     let mut runner = SuiteRunner::new(EngineConfig {
         threads,
         seed: args.seed,
-        verify: args.verify,
         routers: args.routers.clone(),
         ..EngineConfig::default()
     })
@@ -180,10 +161,10 @@ fn print_result(result: &SuiteResult) {
             row.router.name(),
             row.weighted_depth,
             row.swaps,
-            match row.verified {
-                Some(true) => "ok",
-                Some(false) => "FAILED",
-                None => "-",
+            if row.verified == Some(true) {
+                "ok"
+            } else {
+                "FAILED"
             }
         );
     }
@@ -230,25 +211,20 @@ fn run(args: &Args) -> Result<(), String> {
             parallel.stats.wall,
             single.stats.wall.as_secs_f64() / parallel.stats.wall.as_secs_f64().max(1e-9),
         );
-        // Health gates the outputs: a run with failed or unverified
-        // jobs must exit non-zero *without* emitting summary or timing
-        // files, so a broken run can never become the perf baseline.
+        // Health gates the outputs: a run with failed jobs must exit
+        // non-zero *without* emitting summary files.
         check_health(&single)?;
         check_health(&parallel)?;
-        write_outputs(args, &parallel, Some(&single.stats))
+        write_outputs(args, &parallel)
     } else {
         let result = run_once(args, args.threads);
         print_result(&result);
         check_health(&result)?;
-        write_outputs(args, &result, None)
+        write_outputs(args, &result)
     }
 }
 
-fn write_outputs(
-    args: &Args,
-    result: &SuiteResult,
-    baseline: Option<&RunStats>,
-) -> Result<(), String> {
+fn write_outputs(args: &Args, result: &SuiteResult) -> Result<(), String> {
     if let Some(path) = &args.json {
         std::fs::write(path, result.summary.to_json())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -256,11 +232,6 @@ fn write_outputs(
     }
     if let Some(path) = &args.csv {
         std::fs::write(path, result.summary.to_csv())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if let Some(path) = &args.timings {
-        std::fs::write(path, result.stats.to_json(baseline))
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }

@@ -8,8 +8,8 @@
 //!
 //! Binaries:
 //!
-//! * `engine` — general matrix runner; emits summaries and the
-//!   `BENCH_timings.json` perf baseline,
+//! * `engine` — general matrix runner; emits the deterministic
+//!   summaries and checks them across thread counts,
 //! * `table1` — the Table I technology survey plus a routed
 //!   calibration workload on the modeled devices,
 //! * `fig8` — CODAR-vs-SABRE weighted-depth speedups on the
@@ -222,10 +222,10 @@ pub fn report_timing(stats: &codar_engine::RunStats) {
     }
 }
 
-/// Errors when any job failed to route or any routed circuit failed
-/// verification — so CI runs of the binaries catch router regressions.
-/// Every failure's circuit, device and cause go to stderr first, so a
-/// red run is diagnosable from its log.
+/// Errors when any job failed to route, verify or simulate — so CI runs
+/// of the binaries catch router regressions. Every failure's circuit,
+/// device and cause go to stderr first, so a red run is diagnosable
+/// from its log.
 ///
 /// # Errors
 ///
@@ -239,15 +239,6 @@ pub fn check_health(result: &codar_engine::SuiteResult) -> Result<(), String> {
     }
     if !result.failures.is_empty() {
         return Err(format!("{} routing jobs failed", result.failures.len()));
-    }
-    let unverified = result
-        .summary
-        .rows
-        .iter()
-        .filter(|r| r.verified == Some(false))
-        .count();
-    if unverified > 0 {
-        return Err(format!("{unverified} routed circuits failed verification"));
     }
     Ok(())
 }

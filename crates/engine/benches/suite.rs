@@ -1,7 +1,6 @@
 //! Engine-level benchmark: end-to-end [`SuiteRunner`] throughput on a
-//! fixed sub-matrix — the number behind `BENCH_timings.json`, in
-//! `cargo bench` form. Runs on one thread so the measurement is
-//! route-time, not pool scheduling (the CI container has 1 CPU).
+//! fixed sub-matrix, in `cargo bench` form. Runs on one thread so the
+//! measurement is compile time, not pool scheduling.
 
 use codar_arch::Device;
 use codar_benchmarks::suite::full_suite;
@@ -31,27 +30,6 @@ fn bench_suite_runner(c: &mut Criterion) {
             },
         );
     }
-    // Verification off isolates pure routing from the simulation-based
-    // equivalence check.
-    let entries: Vec<_> = full_suite().into_iter().take(24).collect();
-    group.bench_with_input(
-        BenchmarkId::new("route_1thread_no_verify", 24),
-        &entries,
-        |b, entries| {
-            b.iter(|| {
-                let result = SuiteRunner::new(EngineConfig {
-                    threads: 1,
-                    verify: false,
-                    ..EngineConfig::default()
-                })
-                .device(Device::ibm_q20_tokyo())
-                .entries(entries.clone())
-                .run();
-                assert!(result.failures.is_empty());
-                black_box(result.summary.rows.len())
-            });
-        },
-    );
     group.finish();
 }
 

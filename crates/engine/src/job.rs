@@ -285,8 +285,6 @@ pub struct EngineConfig {
     /// Seed for the per-(circuit, device) initial mapping and the
     /// per-job noise RNG derivation.
     pub seed: u64,
-    /// Run `codar_router::verify` on every routed circuit.
-    pub verify: bool,
     /// Routers included in the matrix when no explicit variant list
     /// is set on the runner (each becomes a default-config variant).
     pub routers: Vec<RouterKind>,
@@ -309,7 +307,6 @@ impl Default for EngineConfig {
         EngineConfig {
             threads: 0,
             seed: 0,
-            verify: true,
             routers: vec![RouterKind::Codar, RouterKind::Sabre],
             codar: CodarConfig::default(),
             sabre: SabreConfig::default(),

@@ -7,8 +7,9 @@
 //! fans it across a `std::thread` worker pool, and folds the per-job
 //! [`RouteReport`]s into a [`Summary`] whose JSON/CSV serializations
 //! are **byte-identical for any thread count** — timing lives in the
-//! separate [`RunStats`], whose [`RunStats::to_json`] is the
-//! `BENCH_timings.json` perf baseline.
+//! separate [`RunStats`]. Each job is one [`RouteWorker::compile`], the
+//! compile step the daemon (`codar-service`) and the `codar` CLI run
+//! too: route, verify, simulate (on the sim axis), score EPS.
 //!
 //! Every paper experiment is a run of this engine:
 //!
@@ -30,9 +31,9 @@
 //!   *same* reverse-traversal initial mapping, as in the paper's
 //!   Fig. 8 setup (switchable via
 //!   [`EngineConfig::shared_initial_mapping`] for mapping studies).
-//! * **Built-in verification** — with [`EngineConfig::verify`] on
-//!   (default), every routed circuit is checked for coupling
-//!   compliance and semantic equivalence before it is reported.
+//! * **Built-in verification** — every routed circuit is checked for
+//!   coupling compliance and semantic equivalence before it is
+//!   reported; a job that fails the check is a [`JobFailure`].
 //! * **Determinism** — job ids key all output; reports are sorted; and
 //!   noise-simulation jobs derive their RNG seed from job identity,
 //!   so scheduling order never leaks into the summary.
@@ -93,11 +94,9 @@ pub use job::{
     CalKind, CalibrationSpec, EngineConfig, JobSpec, NoiseSpec, RouterKind, RouterVariant,
     DEFAULT_PORTFOLIO_ALPHA,
 };
-pub use report::{
-    Comparison, FidelityStats, RouteReport, RouterTiming, RunStats, Summary, TIMINGS_SCHEMA_VERSION,
-};
+pub use report::{Comparison, FidelityStats, RouteReport, RouterTiming, RunStats, Summary};
 pub use runner::{JobFailure, SuiteResult, SuiteRunner};
-pub use worker::{PortfolioOutcome, RouteWorker};
+pub use worker::{CompileError, Compiled, Phase, PortfolioOutcome, RouteWorker};
 
 // The simulation-axis selector, re-exported so engine callers (the
 // experiment binaries, the service) need no direct codar-sim import.

@@ -4,9 +4,10 @@
 //! wall time. The [`Summary`] built from the reports deliberately
 //! excludes wall times so that its JSON/CSV serializations are
 //! **byte-identical across thread counts and machines** — the engine's
-//! determinism tests diff them directly. Timing lives in [`RunStats`],
-//! whose [`RunStats::to_json`] is the `BENCH_timings.json` perf
-//! baseline (explicitly nondeterministic: it is a measurement).
+//! determinism tests diff them directly. Timing lives in [`RunStats`]
+//! (explicitly nondeterministic: it is a measurement), which the
+//! binaries print to stderr; repeated perf measurement is `perfbench`'s
+//! job.
 
 use crate::job::RouterKind;
 use codar_arch::json::escape;
@@ -73,16 +74,19 @@ pub struct RouteReport {
     pub swaps: usize,
     /// Output gate count (input + inserted SWAPs).
     pub output_gates: usize,
-    /// Whether coupling + equivalence verification ran and passed
-    /// (`None` when verification was disabled).
+    /// Whether coupling + equivalence verification passed: `Some(true)`
+    /// on every engine row, because a job that fails the check is a
+    /// [`crate::JobFailure`]. Reports assembled outside the engine may
+    /// carry `Some(false)` or `None`.
     pub verified: Option<bool>,
     /// Simulated fidelity (noise-simulation jobs only).
     pub fidelity: Option<FidelityStats>,
     /// The routed circuit itself, when
     /// [`crate::EngineConfig::keep_routed`] is set (never serialized).
     pub routed: Option<RoutedCircuit>,
-    /// Wall time of the whole job — initial mapping, routing,
-    /// verification and simulation (not part of the summary).
+    /// Wall time of the job's compile — routing, verification,
+    /// simulation and EPS scoring, after the shared initial mapping
+    /// (not part of the summary).
     pub wall: Duration,
 }
 
@@ -158,8 +162,6 @@ pub struct RunStats {
     pub threads: usize,
     /// Jobs executed (including failed ones).
     pub jobs: usize,
-    /// Calibration points on the run's snapshot axis (`0` = no axis).
-    pub calibration_specs: usize,
     /// Jobs that returned a router error.
     pub failures: usize,
     /// End-to-end wall time of the run.
@@ -169,16 +171,6 @@ pub struct RunStats {
     /// Per-variant timing aggregates, sorted by variant label.
     pub per_router: Vec<RouterTiming>,
 }
-
-/// Schema version stamped into every [`RunStats::to_json`] payload
-/// (`BENCH_timings.json` and the CI artifact). Consumers comparing
-/// timing baselines should check it first; bump it whenever the JSON
-/// shape changes so old and new files can never be diffed silently.
-/// Version 1 was the pre-versioned format; version 2 added this
-/// field; version 3 added `calibration_specs` (runs with a
-/// calibration axis route a multiplied matrix, so their timings are
-/// only comparable to baselines with the same axis size).
-pub const TIMINGS_SCHEMA_VERSION: u32 = 3;
 
 impl RunStats {
     /// Completed jobs per wall-clock second — each job routes one
@@ -191,65 +183,6 @@ impl RunStats {
     /// pool kept busy on average.
     pub fn pool_speedup(&self) -> f64 {
         self.total_route_time.as_secs_f64() / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Serializes the timing baseline (the `BENCH_timings.json`
-    /// payload). Pass the stats of a 1-thread run of the same matrix
-    /// as `baseline` to include the measured end-to-end speedup and
-    /// the per-router 1-thread means (`"per_router_1_thread"` — the
-    /// contention-free mean_ms that perf work is gated on; the
-    /// top-level `"per_router"` means include pool contention when the
-    /// run was parallel). Without a baseline both are `null`.
-    pub fn to_json(&self, baseline: Option<&RunStats>) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"version\": {TIMINGS_SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"jobs\": {},", self.jobs);
-        let _ = writeln!(out, "  \"calibration_specs\": {},", self.calibration_specs);
-        let _ = writeln!(out, "  \"failures\": {},", self.failures);
-        let _ = writeln!(out, "  \"wall_seconds\": {:.6},", self.wall.as_secs_f64());
-        let _ = writeln!(
-            out,
-            "  \"total_route_seconds\": {:.6},",
-            self.total_route_time.as_secs_f64()
-        );
-        let _ = writeln!(
-            out,
-            "  \"circuits_per_sec\": {:.3},",
-            self.circuits_per_sec()
-        );
-        let _ = writeln!(out, "  \"pool_speedup\": {:.3},", self.pool_speedup());
-        match baseline {
-            Some(single) => {
-                let _ = writeln!(
-                    out,
-                    "  \"baseline_1_thread_wall_seconds\": {:.6},",
-                    single.wall.as_secs_f64()
-                );
-                let _ = writeln!(
-                    out,
-                    "  \"speedup_vs_1_thread\": {:.3},",
-                    single.wall.as_secs_f64() / self.wall.as_secs_f64().max(1e-9)
-                );
-            }
-            None => {
-                out.push_str("  \"baseline_1_thread_wall_seconds\": null,\n");
-                out.push_str("  \"speedup_vs_1_thread\": null,\n");
-            }
-        }
-        out.push_str("  \"per_router\": [\n");
-        out.push_str(&per_router_json(&self.per_router));
-        match baseline {
-            Some(single) => {
-                out.push_str("  ],\n  \"per_router_1_thread\": [\n");
-                out.push_str(&per_router_json(&single.per_router));
-                out.push_str("  ]\n}\n");
-            }
-            None => {
-                out.push_str("  ],\n  \"per_router_1_thread\": null\n}\n");
-            }
-        }
-        out
     }
 }
 
@@ -521,25 +454,6 @@ impl Summary {
         }
         out
     }
-}
-
-/// The shared `per_router` array body (rows indented for both the
-/// parallel and the 1-thread-baseline sections).
-fn per_router_json(timings: &[RouterTiming]) -> String {
-    let mut out = String::new();
-    for (i, t) in timings.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"router\": {}, \"jobs\": {}, \"total_seconds\": {:.6}, \
-             \"mean_ms\": {:.3}}}",
-            escape(&t.router),
-            t.jobs,
-            t.total.as_secs_f64(),
-            t.mean().as_secs_f64() * 1e3,
-        );
-        out.push_str(if i + 1 < timings.len() { ",\n" } else { "\n" });
-    }
-    out
 }
 
 /// `"s"` or `null`.
@@ -829,11 +743,10 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_json_reports_throughput_and_speedup() {
+    fn run_stats_report_throughput_and_pool_speedup() {
         let stats = RunStats {
             threads: 4,
             jobs: 40,
-            calibration_specs: 0,
             failures: 0,
             wall: Duration::from_secs(2),
             total_route_time: Duration::from_secs(6),
@@ -845,21 +758,12 @@ mod tests {
         };
         assert!((stats.circuits_per_sec() - 20.0).abs() < 1e-9);
         assert!((stats.pool_speedup() - 3.0).abs() < 1e-9);
-        let single = RunStats {
-            threads: 1,
-            wall: Duration::from_secs(6),
-            ..stats.clone()
+        assert_eq!(stats.per_router[0].mean(), Duration::from_millis(200));
+        // Failed jobs route no circuit.
+        let failing = RunStats {
+            failures: 10,
+            ..stats
         };
-        let json = stats.to_json(Some(&single));
-        assert!(json.starts_with(&format!("{{\n  \"version\": {TIMINGS_SCHEMA_VERSION},\n")));
-        assert!(json.contains("\"speedup_vs_1_thread\": 3.000"));
-        assert!(json.contains("\"router\": \"codar\""));
-        assert!(json.contains("\"mean_ms\": 200.000"));
-        // The baseline run's per-router means ride along for the
-        // contention-free perf gate.
-        assert!(json.contains("\"per_router_1_thread\": [\n"));
-        let solo = stats.to_json(None);
-        assert!(solo.contains("\"speedup_vs_1_thread\": null"));
-        assert!(solo.contains("\"per_router_1_thread\": null"));
+        assert!((failing.circuits_per_sec() - 15.0).abs() < 1e-9);
     }
 }

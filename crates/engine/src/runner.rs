@@ -23,10 +23,9 @@ use crate::job::{
     DEFAULT_PORTFOLIO_ALPHA,
 };
 use crate::report::{FidelityStats, RouteReport, RouterTiming, RunStats, Summary};
-use crate::worker::RouteWorker;
+use crate::worker::{Compiled, RouteWorker};
 use codar_arch::{CalibrationSnapshot, Device, FidelityModel};
 use codar_benchmarks::suite::SuiteEntry;
-use codar_router::verify::{check_coupling, check_equivalence};
 use codar_router::{Mapping, RoutedCircuit};
 use codar_sim::{Backend, FidelityReport, SimBackend};
 use std::collections::BTreeMap;
@@ -191,7 +190,7 @@ impl SuiteRunner {
 
     /// Turns on the simulation axis: every job additionally verifies
     /// its routed circuit *semantically* by simulating it against the
-    /// original under `backend` (see [`RouteWorker::simulation_check`]).
+    /// original under `backend` (see [`RouteWorker::compile`]).
     /// A failed check fails the job. Rows whose circuit resolved to a
     /// non-dense engine report the resolved backend in a `sim` column;
     /// dense rows (and runs without this axis) carry no new fields, so
@@ -336,7 +335,6 @@ impl SuiteRunner {
         let stats = RunStats {
             threads,
             jobs: jobs.len(),
-            calibration_specs: self.calibrations.len(),
             failures: failures.len(),
             wall: started.elapsed(),
             total_route_time,
@@ -399,83 +397,42 @@ impl SuiteRunner {
         // placement from its config — the initial-mapping study
         // protocol (RouteWorker routes from the variant's own placement
         // when no initial mapping is supplied).
-        let initial = if self.config.shared_initial_mapping {
-            Some(
-                mappings[job.device * self.entries.len() + job.entry]
-                    .get_or_init(|| {
-                        worker.initial_mapping(&entry.circuit, device, self.config.seed)
-                    })
-                    .clone(),
-            )
-        } else {
-            None
-        };
+        let initial = self.config.shared_initial_mapping.then(|| {
+            mappings[job.device * self.entries.len() + job.entry]
+                .get_or_init(|| worker.initial_mapping(&entry.circuit, device, self.config.seed))
+        });
         // The clock starts once the shared mapping is in hand: it is
         // built once per (entry, device) cell, and charging it to the
         // variant that happens to build it would skew that variant's
         // wall time.
         let started = Instant::now();
-        let snapshot = cal.map(|(_, (snapshot, _))| snapshot.as_ref());
-        // Portfolio jobs route under every member and keep the winner
-        // (scored against the job's calibration model when one is
-        // active); the chosen member's label rides along into the
-        // report's `chosen` column. Fixed-variant jobs route exactly as
-        // before.
-        let (routed, chosen): (RoutedCircuit, Option<String>) =
-            if variant.kind == RouterKind::Portfolio {
-                let model = cal.map(|(_, (_, model))| model.as_ref());
-                let outcome = worker
-                    .route_portfolio(
-                        &entry.circuit,
-                        device,
-                        &variant.members,
-                        initial.as_ref(),
-                        snapshot,
-                        model,
-                    )
-                    .map_err(|e| e.to_string())?;
-                (outcome.routed, Some(outcome.chosen))
-            } else {
-                let routed = worker
-                    .route(&entry.circuit, device, variant, initial, snapshot)
-                    .map_err(|e| e.to_string())?;
-                (routed, None)
-            };
-
-        let verified = if self.config.verify {
-            Some(
-                check_coupling(&routed.circuit, device).is_ok()
-                    && check_equivalence(&entry.circuit, &routed).is_ok(),
+        // One compile: route (a portfolio keeps its best member, scored
+        // against the job's calibration model, and names it in the
+        // `chosen` column), verify, run the simulation axis, and score
+        // EPS under the job's calibration point. A failed phase fails
+        // the job. Only non-dense sim resolutions are reported, so
+        // summaries without that axis (and dense rows within it) stay
+        // byte-identical.
+        let Compiled {
+            routed,
+            chosen,
+            sim,
+            eps,
+        } = worker
+            .compile(
+                &entry.circuit,
+                device,
+                variant,
+                initial,
+                cal.map(|(_, (snapshot, model))| (snapshot.as_ref(), model.as_ref())),
+                job.sim,
+                |_| {},
             )
-        } else {
-            None
-        };
-
-        // Simulation axis: semantically verify the routed circuit by
-        // simulating it against the original under the job's backend.
-        // Only non-dense resolutions are reported, so summaries without
-        // this axis (and dense rows within it) stay byte-identical.
-        let sim_label = match job.sim {
-            Some(backend) => {
-                let resolved = worker
-                    .simulation_check(&entry.circuit, &routed, backend)
-                    .map_err(|e| format!("simulation check failed: {e}"))?;
-                (resolved != SimBackend::Dense).then(|| resolved.name().to_string())
-            }
-            None => None,
-        };
-
-        // EPS of the *routed* (physical) circuit under the job's
-        // calibration point — the fidelity-vs-depth axis of the alpha
-        // sweeps. Independent of thread count: snapshot and model are
-        // pure functions of (spec, device).
-        let (cal_label, eps) = match cal {
-            Some((spec, (_, model))) => (
-                Some(spec.label.clone()),
-                Some(model.success_probability(&routed.circuit, device.durations())),
-            ),
-            None => (None, None),
-        };
+            .map_err(|e| e.message)?;
+        let sim_label = sim
+            .filter(|&resolved| resolved != SimBackend::Dense)
+            .map(|resolved| resolved.name().to_string());
+        let cal_label = cal.map(|(spec, _)| spec.label.clone());
 
         let base_report = |noise: Option<String>,
                            fidelity: Option<FidelityStats>,
@@ -497,7 +454,7 @@ impl SuiteRunner {
             depth: routed.depth(),
             swaps: routed.swaps_inserted,
             output_gates: routed.gate_count(),
-            verified,
+            verified: Some(true),
             fidelity,
             routed: routed_out,
             wall,
@@ -608,19 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn verification_can_be_disabled() {
-        let result = SuiteRunner::new(EngineConfig {
-            threads: 1,
-            verify: false,
-            ..EngineConfig::default()
-        })
-        .device(Device::ibm_q20_tokyo())
-        .entries(small_entries(2))
-        .run();
-        assert!(result.summary.rows.iter().all(|r| r.verified.is_none()));
-    }
-
-    #[test]
     fn ablation_variants_route_under_their_own_configs() {
         let result = SuiteRunner::new(EngineConfig {
             threads: 2,
@@ -716,7 +660,6 @@ mod tests {
         let four = run(4);
         // 3 circuits x 2 variants x 2 calibration points.
         assert_eq!(one.stats.jobs, 12);
-        assert_eq!(one.stats.calibration_specs, 2);
         assert!(one.failures.is_empty());
         assert!(one.summary.rows.iter().all(|r| {
             r.verified == Some(true)

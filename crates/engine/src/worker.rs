@@ -1,13 +1,14 @@
 //! Per-worker routing state: one [`RouteWorker`] per pool thread.
 //!
-//! Both the batch engine ([`crate::SuiteRunner`]) and the online
-//! routing service (`codar-service`) run the same inner step — pick the
-//! router an incoming [`RouterVariant`] names, thread the worker's
-//! reusable [`RouterScratch`] through it, and hand back the
-//! [`RoutedCircuit`]. This module is that step's single implementation,
-//! so the two pools cannot drift apart: a worker owns exactly one
-//! scratch, reuses it for every call it serves, and the dispatch from
-//! variant to router lives here and nowhere else.
+//! The batch engine ([`crate::SuiteRunner`]), the online routing
+//! service (`codar-service`) and the `codar` CLI compile a circuit
+//! through one method, [`RouteWorker::compile`]: pick the router an
+//! incoming [`RouterVariant`] names (or race a portfolio), route with
+//! the worker's reusable [`RouterScratch`], verify, optionally check
+//! by simulation, and score EPS. This module is that pipeline's single
+//! implementation, so the front ends cannot drift apart: a worker owns
+//! exactly one scratch, reuses it for every call it serves, and the
+//! dispatch from variant to router lives here and nowhere else.
 
 use crate::job::{RouterKind, RouterVariant};
 use codar_arch::{selection_score, CalibrationSnapshot, Device, FidelityModel};
@@ -35,6 +36,56 @@ pub struct PortfolioOutcome {
     pub evaluated: usize,
 }
 
+/// A phase of [`RouteWorker::compile`], reported to its callback as
+/// the phase ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// Routing (a portfolio races and verifies its members here).
+    Route,
+    /// Coupling and equivalence verification.
+    Verify,
+    /// The simulation differential check (only when a backend is set).
+    Simulate,
+}
+
+impl Phase {
+    /// The phase's name in the daemon's histograms and trace spans.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::Route => "route",
+            Phase::Verify => "verify",
+            Phase::Simulate => "simulate",
+        }
+    }
+}
+
+/// A compiled circuit: routed, verified, and scored.
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    /// The routed circuit.
+    pub routed: RoutedCircuit,
+    /// The winning member's label (portfolio variants only).
+    pub chosen: Option<String>,
+    /// The backend the simulation check resolved to (only when one was
+    /// requested).
+    pub sim: Option<SimBackend>,
+    /// Estimated success probability of the routed circuit under the
+    /// calibration model (only when one was given).
+    pub eps: Option<f64>,
+}
+
+/// Why [`RouteWorker::compile`] failed: the phase that failed and the
+/// message the daemon replies with (`routing failed: …`,
+/// `verification failed (coupling|equivalence): …` or
+/// `simulation check failed: …`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompileError {
+    /// The phase that failed.
+    pub phase: Phase,
+    /// The failure, prefixed with the phase's wording.
+    pub message: String,
+}
+
 /// One pool worker's reusable routing state.
 ///
 /// Holds the [`RouterScratch`] every route call on the owning thread
@@ -55,9 +106,10 @@ pub struct PortfolioOutcome {
 /// c.h(0);
 /// c.cx(0, 2);
 /// let initial = worker.initial_mapping(&c, &device, 0);
-/// let routed = worker
-///     .route(&c, &device, &variant, Some(initial), None)
-///     .expect("fits the device");
+/// let compiled = worker
+///     .compile(&c, &device, &variant, Some(&initial), None, None, |_| {})
+///     .expect("fits and verifies");
+/// let routed = compiled.routed;
 /// assert_eq!(routed.gate_count(), 2 + routed.swaps_inserted);
 /// ```
 #[derive(Debug, Default)]
@@ -77,7 +129,80 @@ impl RouteWorker {
         reverse_traversal_mapping(circuit, device, seed, &mut self.scratch)
     }
 
-    /// Routes `circuit` on `device` with `variant`.
+    /// Compiles `circuit` for `device` under `variant`: routes it (a
+    /// [`RouterKind::Portfolio`] variant races its members through
+    /// [`RouteWorker::route_portfolio`], scored under the calibration
+    /// model), verifies coupling compliance and equivalence, runs the
+    /// simulation differential check when `sim` names a backend, and
+    /// scores the routed circuit's EPS when `calibration` is given.
+    /// `initial` and the snapshot half of `calibration` mean what they
+    /// mean for [`RouteWorker::route`].
+    ///
+    /// `phase_done` is called as each phase ends, the failing one
+    /// included, so a caller can time them; a portfolio winner was
+    /// verified as it was scored, so its `Verify` phase is empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns the failing [`Phase`] with its message.
+    #[allow(clippy::too_many_arguments)]
+    pub fn compile(
+        &mut self,
+        circuit: &Circuit,
+        device: &Device,
+        variant: &RouterVariant,
+        initial: Option<&Mapping>,
+        calibration: Option<(&CalibrationSnapshot, &FidelityModel)>,
+        sim: Option<Backend>,
+        mut phase_done: impl FnMut(Phase),
+    ) -> Result<Compiled, CompileError> {
+        let fail = |phase, message| CompileError { phase, message };
+        let snapshot = calibration.map(|(snapshot, _)| snapshot);
+        let model = calibration.map(|(_, model)| model);
+        let routed = self.dispatch(circuit, device, variant, initial, snapshot, model);
+        phase_done(Phase::Route);
+        let (routed, chosen) =
+            routed.map_err(|e| fail(Phase::Route, format!("routing failed: {e}")))?;
+        let verified = match chosen {
+            Some(_) => Ok(()),
+            None => verify(circuit, &routed, device),
+        };
+        phase_done(Phase::Verify);
+        verified.map_err(|(check, e)| {
+            fail(Phase::Verify, format!("verification failed ({check}): {e}"))
+        })?;
+        // The simulation check reconstructs the routed circuit onto
+        // logical qubits (undoing the SWAPs) and simulates both under
+        // the engine `backend` resolves to: canonical-tableau equality
+        // on the stabilizer backend, state fidelity on dense and
+        // sparse. Unlike `check_equivalence`, which reasons about
+        // commutation, it checks semantics, and via the stabilizer
+        // backend it scales to whole-device Clifford circuits.
+        let sim = sim
+            .map(|backend| {
+                let checked = reconstruct_logical(
+                    &routed.circuit,
+                    &routed.initial_mapping,
+                    circuit.num_qubits(),
+                    &routed.inserted_swap_indices,
+                )
+                .map_err(|e| e.to_string())
+                .and_then(|logical| differential_check(circuit, &logical, backend, 0));
+                phase_done(Phase::Simulate);
+                checked
+            })
+            .transpose()
+            .map_err(|e| fail(Phase::Simulate, format!("simulation check failed: {e}")))?;
+        let eps = model.map(|model| model.success_probability(&routed.circuit, device.durations()));
+        Ok(Compiled {
+            routed,
+            chosen,
+            sim,
+            eps,
+        })
+    }
+
+    /// Routes `circuit` on `device` with `variant`, unverified.
     ///
     /// With `initial = Some(mapping)` the router starts from that
     /// placement (the shared-initial-mapping protocol); with `None`
@@ -89,7 +214,8 @@ impl RouteWorker {
     /// `variant.codar.cal_alpha ×` normalized edge error into the SWAP
     /// priority). A `CodarCal` variant without a snapshot routes as
     /// plain CODAR. A [`RouterKind::Portfolio`] variant returns the
-    /// winner of [`RouteWorker::route_portfolio`] over its members.
+    /// winner of [`RouteWorker::route_portfolio`] over its members,
+    /// scored without a calibration model.
     ///
     /// # Errors
     ///
@@ -103,9 +229,24 @@ impl RouteWorker {
         initial: Option<Mapping>,
         snapshot: Option<&CalibrationSnapshot>,
     ) -> Result<RoutedCircuit, RouteError> {
-        let initial = initial.as_ref();
+        self.dispatch(circuit, device, variant, initial.as_ref(), snapshot, None)
+            .map(|(routed, _)| routed)
+    }
+
+    /// The variant→router dispatch behind [`RouteWorker::route`] and
+    /// [`RouteWorker::compile`]; a portfolio also returns its winner's
+    /// label.
+    fn dispatch(
+        &mut self,
+        circuit: &Circuit,
+        device: &Device,
+        variant: &RouterVariant,
+        initial: Option<&Mapping>,
+        snapshot: Option<&CalibrationSnapshot>,
+        model: Option<&FidelityModel>,
+    ) -> Result<(RoutedCircuit, Option<String>), RouteError> {
         let scratch = &mut self.scratch;
-        match variant.kind {
+        let routed = match variant.kind {
             RouterKind::Codar | RouterKind::CodarCal => {
                 let router = CodarRouter::with_config(device, variant.codar.clone());
                 match snapshot {
@@ -118,10 +259,13 @@ impl RouteWorker {
             RouterKind::Sabre => SabreRouter::with_config(device, variant.sabre.clone())
                 .route(circuit, initial, scratch),
             RouterKind::Greedy => GreedyRouter::new(device).route(circuit, initial, scratch),
-            RouterKind::Portfolio => self
-                .route_portfolio(circuit, device, &variant.members, initial, snapshot, None)
-                .map(|outcome| outcome.routed),
-        }
+            RouterKind::Portfolio => {
+                return self
+                    .route_portfolio(circuit, device, &variant.members, initial, snapshot, model)
+                    .map(|outcome| (outcome.routed, Some(outcome.chosen)))
+            }
+        };
+        routed.map(|routed| (routed, None))
     }
 
     /// Routes `circuit` under every `members` variant — reusing this
@@ -157,16 +301,14 @@ impl RouteWorker {
             if member.kind == RouterKind::Portfolio {
                 continue;
             }
-            let routed = match self.route(circuit, device, member, initial.cloned(), snapshot) {
-                Ok(routed) => routed,
+            let routed = match self.dispatch(circuit, device, member, initial, snapshot, None) {
+                Ok((routed, _)) => routed,
                 Err(e) => {
                     last_err = e;
                     continue;
                 }
             };
-            if let Err(e) = check_coupling(&routed.circuit, device)
-                .and_then(|()| check_equivalence(circuit, &routed))
-            {
+            if let Err((_, e)) = verify(circuit, &routed, device) {
                 last_err = e;
                 continue;
             }
@@ -203,38 +345,18 @@ impl RouteWorker {
             None => Err(last_err),
         }
     }
+}
 
-    /// Differentially verifies a routed circuit against its original by
-    /// *simulating both*: the routed circuit is reconstructed back onto
-    /// logical qubits (undoing the router's SWAPs) and the two are run
-    /// under the engine `backend` resolves to — canonical-tableau
-    /// equality on the stabilizer backend, state fidelity on dense and
-    /// sparse. Stronger than [`codar_router::verify::check_equivalence`]
-    /// (which reasons syntactically about commutation) and, via the
-    /// stabilizer backend, the only equivalence check that scales to
-    /// whole-device Clifford circuits.
-    ///
-    /// Returns the resolved [`SimBackend`] on success.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the backend cannot run the circuit, the
-    /// reconstruction fails, or the simulated states differ.
-    pub fn simulation_check(
-        &self,
-        original: &Circuit,
-        routed: &RoutedCircuit,
-        backend: Backend,
-    ) -> Result<SimBackend, String> {
-        let logical = reconstruct_logical(
-            &routed.circuit,
-            &routed.initial_mapping,
-            original.num_qubits(),
-            &routed.inserted_swap_indices,
-        )
-        .map_err(|e| e.to_string())?;
-        differential_check(original, &logical, backend, 0)
-    }
+/// Checks a routed circuit against its original: coupling compliance,
+/// then semantic equivalence. The error names the check that failed.
+/// Every verification the front ends run goes through here.
+fn verify(
+    original: &Circuit,
+    routed: &RoutedCircuit,
+    device: &Device,
+) -> Result<(), (&'static str, RouteError)> {
+    check_coupling(&routed.circuit, device).map_err(|e| ("coupling", e))?;
+    check_equivalence(original, routed).map_err(|e| ("equivalence", e))
 }
 
 #[cfg(test)]
@@ -488,6 +610,101 @@ mod tests {
             .route(&entry.circuit, &device, &auto, Some(initial.clone()), None)
             .expect("fits");
         check_coupling(&via_route.circuit, &device).expect("coupling");
+    }
+
+    /// `compile` reports each phase as it ends, stops at the phase that
+    /// fails, and words its error the way the daemon replies.
+    #[test]
+    fn compile_reports_phases_and_the_failing_one() {
+        use codar_circuit::from_qasm::circuit_from_source;
+        let device = Device::ibm_q5_yorktown();
+        let codar = RouterVariant::of_kind(RouterKind::Codar);
+        let mut worker = RouteWorker::new();
+        let mut compile = |source: &str, sim: Option<Backend>| {
+            let circuit = circuit_from_source(source).expect("parses");
+            let mut phases = Vec::new();
+            let compiled = worker.compile(&circuit, &device, &codar, None, None, sim, |phase| {
+                phases.push(phase)
+            });
+            (compiled, phases)
+        };
+        let clifford = "qreg q[4]; h q[0]; cx q[0], q[3]; cx q[1], q[2];";
+        let (compiled, phases) = compile(clifford, None);
+        let compiled = compiled.expect("routes and verifies");
+        assert_eq!(phases, [Phase::Route, Phase::Verify]);
+        assert_eq!(
+            (compiled.chosen, compiled.sim, compiled.eps),
+            (None, None, None)
+        );
+        let (compiled, phases) = compile(clifford, Some(Backend::Auto));
+        assert_eq!(phases, [Phase::Route, Phase::Verify, Phase::Simulate]);
+        assert_eq!(
+            compiled.expect("simulates").sim,
+            Some(SimBackend::Stabilizer)
+        );
+        let (failed, phases) = compile(
+            "qreg q[3]; t q[0]; cx q[0], q[2];",
+            Some(Backend::Stabilizer),
+        );
+        let failed = failed.expect_err("T is not Clifford");
+        assert_eq!(phases, [Phase::Route, Phase::Verify, Phase::Simulate]);
+        assert_eq!(failed.phase, Phase::Simulate);
+        assert!(
+            failed.message.starts_with("simulation check failed: "),
+            "{failed:?}"
+        );
+        let (failed, phases) = compile("qreg q[6]; cx q[0], q[5];", None);
+        let failed = failed.expect_err("6 qubits do not fit Yorktown");
+        assert_eq!(phases, [Phase::Route]);
+        assert_eq!(failed.phase, Phase::Route);
+        assert!(failed.message.starts_with("routing failed: "), "{failed:?}");
+    }
+
+    /// Under a calibration model `compile` scores EPS, and a portfolio
+    /// variant returns what `route_portfolio` picks under that model,
+    /// naming the winner.
+    #[test]
+    fn compile_scores_eps_and_names_the_portfolio_winner() {
+        use codar_arch::{CalibrationSnapshot, FidelityModel};
+        let device = Device::ibm_q20_tokyo();
+        let snapshot = CalibrationSnapshot::synthetic(&device, 9).drifted(2);
+        let model = FidelityModel::from_snapshot(&snapshot);
+        let entry = &full_suite()[5];
+        let mut worker = RouteWorker::new();
+        let initial = worker.initial_mapping(&entry.circuit, &device, 0);
+        let auto = RouterVariant::portfolio(0.5);
+        let compiled = worker
+            .compile(
+                &entry.circuit,
+                &device,
+                &auto,
+                Some(&initial),
+                Some((&snapshot, &model)),
+                None,
+                |_| {},
+            )
+            .expect("fits");
+        let outcome = worker
+            .route_portfolio(
+                &entry.circuit,
+                &device,
+                &auto.members,
+                Some(&initial),
+                Some(&snapshot),
+                Some(&model),
+            )
+            .expect("fits");
+        assert_eq!(compiled.chosen.as_deref(), Some(outcome.chosen.as_str()));
+        assert_eq!(
+            compiled.routed.circuit.gates(),
+            outcome.routed.circuit.gates()
+        );
+        let eps = model.success_probability(&compiled.routed.circuit, device.durations());
+        assert_eq!(compiled.eps.map(f64::to_bits), Some(eps.to_bits()));
+        assert_eq!(
+            compiled.eps.map(f64::to_bits),
+            Some(outcome.score.to_bits())
+        );
     }
 
     /// One worker reused across many calls gives the same results as a

@@ -405,6 +405,12 @@ struct Lowering<'a> {
 
 const MAX_EXPANSION_DEPTH: usize = 64;
 
+/// The most operations one program may lower to. Each nested gate
+/// definition that calls the previous one twice doubles the expansion,
+/// so a few hundred bytes of source could otherwise lower to millions
+/// of gates. Far above every suite and corpus program.
+const MAX_LOWERED_OPS: usize = 1 << 20;
+
 /// Evaluates a constant parameter expression given bindings for formal
 /// parameter names.
 ///
@@ -487,8 +493,8 @@ impl<'a> Lowering<'a> {
                     ));
                 }
                 let offset = self.flat.num_qubits;
+                self.flat.num_qubits = declare(offset, *size, "qubits")?;
                 self.regs.qregs.insert(name, (offset, *size as usize));
-                self.flat.num_qubits += *size as usize;
                 self.flat.qregs.push((name.clone(), *size as usize));
                 Ok(())
             }
@@ -500,8 +506,8 @@ impl<'a> Lowering<'a> {
                     ));
                 }
                 let offset = self.flat.num_bits;
+                self.flat.num_bits = declare(offset, *size, "classical bits")?;
                 self.regs.cregs.insert(name, (offset, *size as usize));
-                self.flat.num_bits += *size as usize;
                 self.flat.cregs.push((name.clone(), *size as usize));
                 Ok(())
             }
@@ -521,7 +527,7 @@ impl<'a> Lowering<'a> {
             Statement::Measure { src, dst } => self.lower_measure(src, dst),
             Statement::Reset(arg) => {
                 for q in self.broadcast_qubits(arg)? {
-                    self.flat.ops.push(FlatOp::Reset { qubit: q });
+                    self.push(FlatOp::Reset { qubit: q })?;
                 }
                 Ok(())
             }
@@ -531,8 +537,7 @@ impl<'a> Lowering<'a> {
                     qubits.extend(self.broadcast_qubits(arg)?);
                 }
                 distinct_operands("barrier", &qubits)?;
-                self.flat.ops.push(FlatOp::Barrier { qubits });
-                Ok(())
+                self.push(FlatOp::Barrier { qubits })
             }
             Statement::If { creg, value, then } => {
                 if self.regs.creg_size(creg).is_none() {
@@ -544,6 +549,19 @@ impl<'a> Lowering<'a> {
                 self.lower_statement(then, Some(&(creg.clone(), *value)))
             }
         }
+    }
+
+    /// Appends one lowered operation, or fails once the program holds
+    /// [`MAX_LOWERED_OPS`]: expansion stops before it allocates more.
+    fn push(&mut self, op: FlatOp) -> Result<(), QasmError> {
+        if self.flat.ops.len() == MAX_LOWERED_OPS {
+            return Err(QasmError::new(
+                QasmErrorKind::Semantic,
+                format!("program lowers to more than {MAX_LOWERED_OPS} operations"),
+            ));
+        }
+        self.flat.ops.push(op);
+        Ok(())
     }
 
     /// Expands an argument into all the global qubit indices it denotes
@@ -572,8 +590,7 @@ impl<'a> Lowering<'a> {
             (Some(_), Some(_)) => {
                 let qubit = self.regs.qubit(&src.register, src.index)?;
                 let bit = self.regs.bit(&dst.register, dst.index)?;
-                self.flat.ops.push(FlatOp::Measure { qubit, bit });
-                Ok(())
+                self.push(FlatOp::Measure { qubit, bit })
             }
             (None, None) => {
                 let qsize = self.regs.qreg_size(&src.register).ok_or_else(|| {
@@ -600,7 +617,7 @@ impl<'a> Lowering<'a> {
                 for i in 0..qsize as u64 {
                     let qubit = self.regs.qubit(&src.register, Some(i))?;
                     let bit = self.regs.bit(&dst.register, Some(i))?;
-                    self.flat.ops.push(FlatOp::Measure { qubit, bit });
+                    self.push(FlatOp::Measure { qubit, bit })?;
                 }
                 Ok(())
             }
@@ -702,13 +719,12 @@ impl<'a> Lowering<'a> {
             } else {
                 params.to_vec()
             };
-            self.flat.ops.push(FlatOp::Gate {
+            return self.push(FlatOp::Gate {
                 gate,
                 params,
                 qubits: qubits.to_vec(),
                 conditional: conditional.cloned(),
             });
-            return Ok(());
         }
         if let Some(&(nparams, nqargs)) = self.opaques.get(name) {
             return Err(QasmError::new(
@@ -810,12 +826,26 @@ impl<'a> Lowering<'a> {
                         })
                         .collect::<Result<_, _>>()?;
                     distinct_operands("barrier", &qubits)?;
-                    self.flat.ops.push(FlatOp::Barrier { qubits });
+                    self.push(FlatOp::Barrier { qubits })?;
                 }
             }
         }
         Ok(())
     }
+}
+
+/// The register total after declaring `size` more `what` on top of
+/// `total`, or an error when it would not fit in a `usize`.
+fn declare(total: usize, size: u64, what: &str) -> Result<usize, QasmError> {
+    usize::try_from(size)
+        .ok()
+        .and_then(|size| total.checked_add(size))
+        .ok_or_else(|| {
+            QasmError::new(
+                QasmErrorKind::Semantic,
+                format!("registers declare more than {} {what}", usize::MAX),
+            )
+        })
 }
 
 /// Rejects an operation that names one qubit twice (`cx q[0],q[0]`,
@@ -850,8 +880,9 @@ fn distinct_operands(name: &str, qubits: &[usize]) -> Result<(), QasmError> {
 ///
 /// Returns a semantic [`QasmError`] for undeclared registers,
 /// out-of-range indices, arity mismatches, broadcast size mismatches,
-/// repeated qubit operands, unknown gates, non-embedded includes and
-/// over-deep (recursive) gate expansions.
+/// repeated qubit operands, unknown gates, non-embedded includes,
+/// over-deep (recursive) gate expansions, register totals past
+/// `usize::MAX`, and programs that lower to more than 2^20 operations.
 pub fn flatten(program: &Program) -> Result<FlatProgram, QasmError> {
     Lowering::new().run(program)
 }
@@ -1057,6 +1088,45 @@ mod tests {
     fn rejects_repeated_operand() {
         let e = flat_err("include \"qelib1.inc\"; qreg q[2]; cx q[0], q[0];");
         assert!(e.to_string().contains("repeated"));
+    }
+
+    #[test]
+    fn rejects_register_totals_past_usize() {
+        let e = flat_err("qreg a[18446744073709551615]; qreg b[2]; h b[0];");
+        assert_eq!(*e.kind(), QasmErrorKind::Semantic);
+        assert!(
+            e.to_string()
+                .contains("registers declare more than 18446744073709551615 qubits"),
+            "{e}"
+        );
+        let e = flat_err("creg a[18446744073709551615]; creg b[1];");
+        assert!(e.to_string().contains("classical bits"), "{e}");
+        // One register of the largest size still declares.
+        let program = crate::parse("qreg a[18446744073709551615];").unwrap();
+        assert_eq!(flatten(&program).unwrap().num_qubits, usize::MAX);
+    }
+
+    /// Definition `gN` calls `g(N-1)` twice, so 21 levels would lower
+    /// to 2^21 gates; lowering stops at the cap instead.
+    #[test]
+    fn caps_the_lowered_operation_count() {
+        let nested = |levels: usize| {
+            let mut source = String::from("qreg q[1]; gate g0 a { h a; }");
+            for level in 1..=levels {
+                let inner = level - 1;
+                source.push_str(&format!(" gate g{level} a {{ g{inner} a; g{inner} a; }}"));
+            }
+            source.push_str(&format!(" g{levels} q[0];"));
+            source
+        };
+        assert_eq!(flat(&nested(4)).ops.len(), 16);
+        let e = flat_err(&nested(21));
+        assert_eq!(*e.kind(), QasmErrorKind::Semantic);
+        assert!(
+            e.to_string()
+                .contains("program lowers to more than 1048576 operations"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -89,5 +89,5 @@ pub use soak::{SoakConfig, SoakError, SoakReport};
 pub use trace::{normalize_line, PhaseSample, TraceCtx, TraceRecorder};
 
 /// Schema version of the deterministic loadgen summary JSON. Bump on
-/// any shape change, as with [`codar_engine::TIMINGS_SCHEMA_VERSION`].
+/// any shape change.
 pub const LOADGEN_SUMMARY_VERSION: u32 = 1;

@@ -423,8 +423,7 @@ impl ServiceMetrics {
 }
 
 /// Schema version of the loadgen latency JSON (`--latency-json`).
-/// Bump whenever its shape changes, as with
-/// [`codar_engine::TIMINGS_SCHEMA_VERSION`]. Version 1 carried only
+/// Bump whenever its shape changes. Version 1 carried only
 /// the percentiles; version 2 added the run context (request count,
 /// seed, device/router, daemon cache capacity/shards and the active
 /// calibration snapshot version) so two latency files can be checked

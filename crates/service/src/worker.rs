@@ -1,11 +1,12 @@
 //! The routing worker pool.
 //!
 //! A fixed number of worker threads pop [`RouteJob`]s off the bounded
-//! queue, route them with a per-worker [`codar_engine::RouteWorker`]
-//! (one reusable scratch per thread, the same pattern as the engine's
-//! `SuiteRunner`), **verify** the result (coupling compliance +
-//! semantic equivalence), serialize the routed circuit back to QASM and
-//! reply with a finished response body. Successful bodies are inserted
+//! queue, place each circuit and compile it with a per-worker
+//! [`codar_engine::RouteWorker`] (one reusable scratch per thread; the
+//! engine's `SuiteRunner` runs the same `compile`: route, **verify**
+//! coupling compliance and semantic equivalence, optionally check by
+//! simulation, score EPS), serialize the routed circuit back to QASM
+//! and reply with a finished response body. Successful bodies are inserted
 //! into the shared result cache before the reply is sent, so an
 //! identical request that arrives next probes straight into a hit.
 //!
@@ -25,8 +26,7 @@ use crate::trace::{phase_sample, PhaseSample};
 use codar_arch::{CalibrationSnapshot, Device, FidelityModel};
 use codar_circuit::from_qasm::circuit_to_qasm;
 use codar_circuit::Circuit;
-use codar_engine::{RouteWorker, RouterKind, RouterVariant};
-use codar_router::verify::{check_coupling, check_equivalence};
+use codar_engine::{Compiled, RouteWorker, RouterKind, RouterVariant};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -167,9 +167,9 @@ pub fn spawn_pool(
 /// verification failure, serialization error) produce error bodies and
 /// are **never cached**; their phase list stops at the phase that
 /// failed, which keeps the span structure a deterministic function of
-/// the request. Portfolio (`auto`) jobs race `job.members` through the
-/// worker's one scratch inside the single `route` phase, so the phase
-/// *set* is identical to a fixed router's.
+/// the request. Portfolio (`auto`) jobs race their members through the
+/// worker's one scratch, verifying each, inside the single `route`
+/// phase, so the phase *set* is identical to a fixed router's.
 fn route_job(
     worker: &mut RouteWorker,
     job: &RouteJob,
@@ -191,93 +191,57 @@ fn route_job(
             None,
         );
     }
-    let from = Instant::now();
+    // The `route` phase includes the placement; each later phase
+    // starts where the previous one ended.
+    let mut from = Instant::now();
     let initial = worker.initial_mapping(&job.circuit, &job.device, seed);
-    let snapshot = job
-        .calibration
-        .as_ref()
-        .map(|(snapshot, _)| snapshot.as_ref());
-    let (routed, chosen) = match (job.key.router, job.key.alpha_bits.map(f64::from_bits)) {
+    let alpha = job.key.alpha_bits.map(f64::from_bits);
+    let variant = match (job.key.router, alpha) {
         // Explore jobs race the whole portfolio; exploit jobs route
         // just the leader their key is bound to. A leader that names no
         // member (it can only come from the member labels, but be
         // defensive) races them all under the exploit key.
         (RouterKind::Portfolio, Some(alpha)) => {
-            let mut members = RouterVariant::portfolio_members(alpha);
+            let mut variant = RouterVariant::portfolio(alpha);
             if let Some(leader) = &job.key.member {
-                if members.iter().any(|m| &m.label == leader) {
-                    members.retain(|m| &m.label == leader);
+                if variant.members.iter().any(|m| &m.label == leader) {
+                    variant.members.retain(|m| &m.label == leader);
                 }
             }
-            let model = job.calibration.as_ref().map(|(_, model)| model.as_ref());
-            match worker.route_portfolio(
-                &job.circuit,
-                &job.device,
-                &members,
-                Some(&initial),
-                snapshot,
-                model,
-            ) {
-                Ok(outcome) => (Ok(outcome.routed), Some(outcome.chosen)),
-                Err(e) => (Err(e), None),
-            }
+            variant
         }
         (router, alpha) => {
             let mut variant = RouterVariant::of_kind(router);
             if let Some(alpha) = alpha {
                 variant.codar.cal_alpha = alpha;
             }
-            let routed = worker.route(&job.circuit, &job.device, &variant, Some(initial), snapshot);
-            (routed, None)
+            variant
         }
     };
-    phases.push(phase_sample("route", job.t0, from, Instant::now()));
-    let routed = match routed {
-        Ok(routed) => routed,
-        Err(e) => {
-            return (
-                error_body(&format!("routing failed: {e}")),
-                false,
-                phases,
-                None,
-            )
-        }
+    let compiled = worker.compile(
+        &job.circuit,
+        &job.device,
+        &variant,
+        Some(&initial),
+        job.calibration
+            .as_ref()
+            .map(|(snapshot, model)| (snapshot.as_ref(), model.as_ref())),
+        job.key.sim,
+        |phase| {
+            let now = Instant::now();
+            phases.push(phase_sample(phase.name(), job.t0, from, now));
+            from = now;
+        },
+    );
+    let Compiled {
+        routed,
+        chosen,
+        sim,
+        eps,
+    } = match compiled {
+        Ok(compiled) => compiled,
+        Err(e) => return (error_body(&e.message), false, phases, None),
     };
-    let from = Instant::now();
-    let verified = check_coupling(&routed.circuit, &job.device)
-        .map_err(|e| format!("verification failed (coupling): {e}"))
-        .and_then(|()| {
-            check_equivalence(&job.circuit, &routed)
-                .map_err(|e| format!("verification failed (equivalence): {e}"))
-        });
-    phases.push(phase_sample("verify", job.t0, from, Instant::now()));
-    if let Err(message) = verified {
-        return (error_body(&message), false, phases, None);
-    }
-    // Requested simulation backends run the stronger differential
-    // check and are *reported back*: the resolved backend appears in
-    // the response even when `auto` lands on dense, so a client can
-    // always see what actually ran — no silent fallback.
-    let sim = match job.key.sim {
-        Some(backend) => {
-            let from = Instant::now();
-            let checked = worker.simulation_check(&job.circuit, &routed, backend);
-            phases.push(phase_sample("simulate", job.t0, from, Instant::now()));
-            match checked {
-                Ok(resolved) => Some(resolved.name().to_string()),
-                Err(e) => {
-                    return (
-                        error_body(&format!("simulation check failed: {e}")),
-                        false,
-                        phases,
-                        None,
-                    )
-                }
-            }
-        }
-        None => None,
-    };
-    let from = Instant::now();
     let qasm = match circuit_to_qasm(&routed.circuit) {
         Ok(qasm) => qasm,
         Err(e) => {
@@ -293,10 +257,11 @@ fn route_job(
     // With an active snapshot every route response (any router)
     // reports the routed circuit's EPS under it, alongside the
     // snapshot version the result is bound to.
-    let calibration = job.calibration.as_ref().map(|(snapshot, model)| {
-        let eps = model.success_probability(&routed.circuit, job.device.durations());
-        (snapshot.version, eps)
-    });
+    let calibration = job
+        .calibration
+        .as_ref()
+        .zip(eps)
+        .map(|((snapshot, _), eps)| (snapshot.version, eps));
     let outcome = RouteOutcome {
         device: job.device.name().to_string(),
         router: job.key.router,
@@ -307,7 +272,10 @@ fn route_job(
         swaps: routed.swaps_inserted,
         output_gates: routed.gate_count(),
         calibration,
-        sim,
+        // A requested backend is reported back even when `auto` lands
+        // on dense, so a client always sees what ran: no silent
+        // fallback.
+        sim: sim.map(|resolved| resolved.name().to_string()),
         chosen: chosen.clone(),
         qasm,
     };

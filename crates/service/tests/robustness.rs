@@ -7,7 +7,8 @@
 //! the daemon must (a) never panic or crash, nor reach a caught worker
 //! panic (`internal error`), (b) emit exactly one well-formed JSON
 //! reply per line, (c) reply deterministically, and (d) stay within a
-//! fixed address-space cap however large the registers a line declares.
+//! fixed address-space cap however large the registers a line declares
+//! or however far its gate definitions expand.
 //! (The corpus is valid UTF-8 by construction: the line reader
 //! terminates the stream on invalid UTF-8 before any request parsing
 //! runs, which is transport framing, not protocol handling.)
@@ -146,28 +147,7 @@ fn huge_registers_get_the_fit_error_before_lowering() {
         .filter(|request| request.contains("qreg big["))
         .collect();
     assert_eq!(huge.len(), 4, "the corpus has the four huge-register lines");
-    let mut child = Command::new("sh")
-        .arg("-c")
-        .arg("ulimit -v 1048576 && exec \"$0\" --stdin")
-        .arg(env!("CARGO_BIN_EXE_coded"))
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn coded under a 1 GiB cap");
-    let input = format!("{}\n", huge.join("\n"));
-    std::io::Write::write_all(&mut child.stdin.take().expect("stdin"), input.as_bytes())
-        .expect("write requests");
-    let output = child.wait_with_output().expect("coded exits");
-    assert!(
-        output.status.success(),
-        "coded failed under the cap: {:?}\nstderr:\n{}",
-        output.status.code(),
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let replies = String::from_utf8(output.stdout).expect("replies are UTF-8");
-    let replies: Vec<&str> = replies.lines().collect();
-    assert_eq!(replies.len(), huge.len(), "one reply per line");
+    let replies = replay_capped(&huge);
     for (request, reply) in huge.iter().zip(replies) {
         let declared = if request.contains("18446744073709551615") {
             "18446744073709551615"
@@ -183,4 +163,53 @@ fn huge_registers_get_the_fit_error_before_lowering() {
             "reply to `{request}`"
         );
     }
+}
+
+/// The corpus's last line nests 24 gate definitions, each calling the
+/// previous one twice: 16M gates from under 800 bytes. Lowering stops
+/// at its operation cap, so under the 1 GiB address-space cap the
+/// daemon answers with the cap's QASM error.
+#[test]
+fn nested_gate_definitions_hit_the_lowered_operation_cap() {
+    let corpus = std::fs::read_to_string(corpus_path()).expect("read corpus");
+    let last = corpus.lines().last().expect("non-empty corpus");
+    assert!(last.contains("gate g24 a { g23 a; g23 a; }"), "{last}");
+    assert_eq!(
+        replay_capped(&[last]),
+        [
+            "{\"type\":\"error\",\"status\":\"error\",\"error\":\"QASM error: semantic error: \
+          program lowers to more than 1048576 operations\"}"
+        ]
+    );
+}
+
+/// Replays `requests` through `coded --stdin` under a 1 GiB
+/// address-space cap and returns one reply per request.
+fn replay_capped(requests: &[&str]) -> Vec<String> {
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 1048576 && exec \"$0\" --stdin")
+        .arg(env!("CARGO_BIN_EXE_coded"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn coded under a 1 GiB cap");
+    let input = format!("{}\n", requests.join("\n"));
+    std::io::Write::write_all(&mut child.stdin.take().expect("stdin"), input.as_bytes())
+        .expect("write requests");
+    let output = child.wait_with_output().expect("coded exits");
+    assert!(
+        output.status.success(),
+        "coded failed under the cap: {:?}\nstderr:\n{}",
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let replies: Vec<String> = String::from_utf8(output.stdout)
+        .expect("replies are UTF-8")
+        .lines()
+        .map(str::to_string)
+        .collect();
+    assert_eq!(replies.len(), requests.len(), "one reply per line");
+    replies
 }

@@ -8,9 +8,7 @@
 use codar_repro::arch::Device;
 use codar_repro::benchmarks::corpus;
 use codar_repro::circuit::decompose::decompose_three_qubit_gates;
-use codar_repro::router::sabre::reverse_traversal_mapping;
-use codar_repro::router::verify::{check_coupling, check_equivalence};
-use codar_repro::router::{CodarRouter, RouterScratch, SabreRouter};
+use codar_repro::engine::{RouteWorker, RouterKind, RouterVariant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = corpus::load(corpus::MAJ_ADDER_QASM)?;
@@ -27,15 +25,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:<22}{:>12}{:>12}{:>10}{:>10}{:>9}",
         "architecture", "codar WD", "sabre WD", "codar SW", "sabre SW", "speedup"
     );
+    let mut worker = RouteWorker::new();
     for device in Device::paper_architectures() {
-        let mut scratch = RouterScratch::new();
-        let initial = reverse_traversal_mapping(&routable, &device, 0, &mut scratch);
-        let codar = CodarRouter::new(&device).route(&routable, Some(&initial), &mut scratch)?;
-        let sabre = SabreRouter::new(&device).route(&routable, Some(&initial), &mut scratch)?;
-        check_coupling(&codar.circuit, &device)?;
-        check_coupling(&sabre.circuit, &device)?;
-        check_equivalence(&routable, &codar)?;
-        check_equivalence(&routable, &sabre)?;
+        let initial = worker.initial_mapping(&routable, &device, 0);
+        // `compile` routes from the shared placement, then verifies
+        // coupling compliance and equivalence.
+        let mut compile = |kind| {
+            let variant = RouterVariant::of_kind(kind);
+            worker
+                .compile(
+                    &routable,
+                    &device,
+                    &variant,
+                    Some(&initial),
+                    None,
+                    None,
+                    |_| {},
+                )
+                .map(|compiled| compiled.routed)
+                .map_err(|e| e.message)
+        };
+        let codar = compile(RouterKind::Codar)?;
+        let sabre = compile(RouterKind::Sabre)?;
         println!(
             "{:<22}{:>12}{:>12}{:>10}{:>10}{:>9.3}",
             device.name(),

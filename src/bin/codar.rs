@@ -3,15 +3,19 @@
 //! ```text
 //! codar devices
 //! codar stats   <file.qasm>
-//! codar route   <file.qasm> [--device q20] [--router codar|sabre|greedy]
-//!                          [--optimize] [--emit] [--seed N]
+//! codar route   <file.qasm> [--device q20] [--router NAME] [--optimize]
+//!                          [--emit] [--seed N]
 //! codar compare <file.qasm> [--device q20] [--seed N]
 //! ```
 //!
 //! Reads OpenQASM 2.0 (with the embedded `qelib1.inc`), decomposes
-//! 3-qubit gates, routes onto the chosen device model, verifies the
-//! result, and reports weighted depth / SWAP counts; `--emit` prints
-//! the routed circuit as OpenQASM.
+//! 3-qubit gates, and compiles onto the chosen device model with the
+//! engine's [`RouteWorker::compile`] — the step the batch engine and the
+//! daemon run: route from the shared reverse-traversal placement, then
+//! verify. It reports weighted depth / SWAP counts; `--emit` prints the
+//! routed circuit as OpenQASM. `--router` takes any name
+//! [`RouterKind::parse`] accepts (`codar`, `codar-cal`, `sabre`,
+//! `greedy`, `auto`).
 
 use codar_repro::arch::Device;
 use codar_repro::circuit::decompose::decompose_three_qubit_gates;
@@ -19,14 +23,12 @@ use codar_repro::circuit::from_qasm::{circuit_from_source, circuit_to_qasm};
 use codar_repro::circuit::optimize::optimize;
 use codar_repro::circuit::stats::CircuitStats;
 use codar_repro::circuit::Circuit;
-use codar_repro::router::sabre::reverse_traversal_mapping;
-use codar_repro::router::verify::{check_coupling, check_equivalence};
-use codar_repro::router::{CodarRouter, GreedyRouter, RoutedCircuit, RouterScratch, SabreRouter};
+use codar_repro::engine::{Compiled, RouteWorker, RouterKind, RouterVariant};
 use std::process::ExitCode;
 
 struct Options {
     device: Device,
-    router: String,
+    router: RouterKind,
     optimize: bool,
     emit: bool,
     seed: u64,
@@ -35,7 +37,7 @@ struct Options {
 fn parse_flags(args: &[String]) -> Result<Options, String> {
     let mut options = Options {
         device: Device::ibm_q20_tokyo(),
-        router: "codar".to_string(),
+        router: RouterKind::Codar,
         optimize: false,
         emit: false,
         seed: 0,
@@ -51,10 +53,8 @@ fn parse_flags(args: &[String]) -> Result<Options, String> {
             }
             "--router" => {
                 let name = args.get(i + 1).ok_or("--router needs a value")?;
-                if !["codar", "sabre", "greedy"].contains(&name.as_str()) {
-                    return Err(format!("unknown router `{name}`"));
-                }
-                options.router = name.clone();
+                options.router =
+                    RouterKind::parse(name).ok_or_else(|| format!("unknown router `{name}`"))?;
                 i += 2;
             }
             "--seed" => {
@@ -90,18 +90,25 @@ fn load_circuit(path: &str, do_optimize: bool) -> Result<Circuit, String> {
     })
 }
 
-fn route_one(circuit: &Circuit, options: &Options) -> Result<RoutedCircuit, String> {
-    let mut scratch = RouterScratch::new();
-    let initial = reverse_traversal_mapping(circuit, &options.device, options.seed, &mut scratch);
-    let routed = match options.router.as_str() {
-        "codar" => CodarRouter::new(&options.device).route(circuit, Some(&initial), &mut scratch),
-        "sabre" => SabreRouter::new(&options.device).route(circuit, Some(&initial), &mut scratch),
-        _ => GreedyRouter::new(&options.device).route(circuit, Some(&initial), &mut scratch),
-    }
-    .map_err(|e| e.to_string())?;
-    check_coupling(&routed.circuit, &options.device).map_err(|e| e.to_string())?;
-    check_equivalence(circuit, &routed).map_err(|e| e.to_string())?;
-    Ok(routed)
+fn route_one(
+    circuit: &Circuit,
+    device: &Device,
+    router: RouterKind,
+    seed: u64,
+) -> Result<Compiled, String> {
+    let mut worker = RouteWorker::new();
+    let initial = worker.initial_mapping(circuit, device, seed);
+    worker
+        .compile(
+            circuit,
+            device,
+            &RouterVariant::of_kind(router),
+            Some(&initial),
+            None,
+            None,
+            |_| {},
+        )
+        .map_err(|e| e.message)
 }
 
 fn cmd_devices() {
@@ -146,13 +153,17 @@ fn cmd_route(path: &str, options: &Options) -> Result<(), String> {
             options.device.num_qubits()
         ));
     }
-    let routed = route_one(&circuit, options)?;
+    let compiled = route_one(&circuit, &options.device, options.router, options.seed)?;
+    let routed = &compiled.routed;
     println!(
         "{} on {} via {}:",
         path,
         options.device.name(),
-        options.router
+        options.router.name()
     );
+    if let Some(chosen) = &compiled.chosen {
+        println!("  chosen router:   {chosen}");
+    }
     println!("  input gates:     {}", circuit.len());
     println!("  output gates:    {}", routed.gate_count());
     println!("  swaps inserted:  {}", routed.swaps_inserted);
@@ -177,18 +188,11 @@ fn cmd_compare(path: &str, options: &Options) -> Result<(), String> {
         "router", "weighted D", "swaps", "gate count"
     );
     let mut results = Vec::new();
-    for router in ["codar", "sabre", "greedy"] {
-        let opts = Options {
-            device: options.device.clone(),
-            router: router.to_string(),
-            optimize: options.optimize,
-            emit: false,
-            seed: options.seed,
-        };
-        let routed = route_one(&circuit, &opts)?;
+    for router in [RouterKind::Codar, RouterKind::Sabre, RouterKind::Greedy] {
+        let routed = route_one(&circuit, &options.device, router, options.seed)?.routed;
         println!(
             "{:<10}{:>14}{:>10}{:>12}",
-            router,
+            router.name(),
             routed.weighted_depth,
             routed.swaps_inserted,
             routed.gate_count()
@@ -196,8 +200,8 @@ fn cmd_compare(path: &str, options: &Options) -> Result<(), String> {
         results.push((router, routed.weighted_depth));
     }
     if let (Some(codar), Some(sabre)) = (
-        results.iter().find(|(r, _)| *r == "codar"),
-        results.iter().find(|(r, _)| *r == "sabre"),
+        results.iter().find(|(r, _)| *r == RouterKind::Codar),
+        results.iter().find(|(r, _)| *r == RouterKind::Sabre),
     ) {
         println!(
             "\nspeedup (sabre/codar): {:.3}",
@@ -208,7 +212,7 @@ fn cmd_compare(path: &str, options: &Options) -> Result<(), String> {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  codar devices\n  codar stats <file.qasm>\n  codar route <file.qasm> [--device NAME] [--router codar|sabre|greedy] [--optimize] [--emit] [--seed N]\n  codar compare <file.qasm> [--device NAME] [--optimize] [--seed N]"
+    "usage:\n  codar devices\n  codar stats <file.qasm>\n  codar route <file.qasm> [--device NAME] [--router codar|codar-cal|sabre|greedy|auto] [--optimize] [--emit] [--seed N]\n  codar compare <file.qasm> [--device NAME] [--optimize] [--seed N]"
 }
 
 fn main() -> ExitCode {
